@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp_core
-from .lp_core import EQ, GE, LE, LinearProgram
+from .lp_core import EQ, GE, LE, LPBuilder
 from .model import INSTALLED_EPS, Network, Plan, StorageTech, TypicalDay
 
 
@@ -32,143 +32,169 @@ class DispatchInfeasibleError(Exception):
         self.hour = hour
 
 
-def add_day_block(lp: LinearProgram, net: Network, day: TypicalDay,
-                  tech: StorageTech, storage_buses: list[str],
-                  rating_vars: dict[str, tuple[str, str]] | None = None,
-                  plan: Plan | None = None, weight: float = 1.0,
-                  prefix: str = "") -> None:
-    """Append one day's dispatch variables and rows to ``lp``.
+STORAGE_COLS = ("pch", "pdis", "reu", "red", "esoc")
+STORAGE_ROWS = ("soc", "chcap", "discap", "socmax", "socmin")
 
-    Storage ratings are either constants taken from ``plan`` or, for the
-    monolithic investment LP, the variables named in ``rating_vars``.
-    Objective coefficients are scaled by ``weight``.
+
+def add_storage_block(lp: LPBuilder, x: np.ndarray, r: np.ndarray,
+                      tech: StorageTech, p_rhs=0.0, e_rhs=0.0,
+                      p_col=None, e_col=None) -> None:
+    """State-of-charge and rating rows of storage units.
+
+    ``x`` and ``r`` are ``[hour, unit, 5]`` grids of the units' columns
+    (:data:`STORAGE_COLS`) and rows (:data:`STORAGE_ROWS`).  The power
+    rating enters the charge/discharge capacity rows as the constant
+    ``p_rhs`` or, when ``p_col`` is given, as that column; the energy
+    rating likewise through ``e_rhs``/``e_col``.  The state of charge
+    starts at zero and its column is free: nonnegativity is the socmin
+    row, which keeps the dual recursion clean.
+    """
+    pch, pdis, reu, red, esoc = (x[..., k] for k in range(5))
+    soc, chcap, discap, socmax, socmin = (r[..., k] for k in range(5))
+    lp.lb[esoc] = -np.inf
+    lp.set_rows(soc, EQ, 0.0, (esoc, 1.0), (pch, -1.0), (pdis, 1.0))
+    lp.add_terms(soc[1:], esoc[:-1], -1.0)
+    lp.set_rows(chcap, LE, p_rhs, (pch, 1.0), (red, 1.0))
+    lp.set_rows(discap, LE, p_rhs, (pdis, 1.0), (reu, 1.0))
+    lp.set_rows(socmax, LE, e_rhs, (esoc, 1.0), (red, tech.t_es))
+    if p_col is not None:
+        lp.add_terms(chcap, p_col, -1.0)
+        lp.add_terms(discap, p_col, -1.0)
+    if e_col is not None:
+        lp.add_terms(socmax, e_col, -1.0)
+    lp.set_rows(socmin, GE, 0.0, (esoc, 1.0), (reu, -tech.t_es))
+
+
+def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
+                  tech: StorageTech, storage_buses: list[str],
+                  weight: float = 1.0, **ratings
+                  ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Append one day's dispatch columns and rows to ``lp``.
+
+    Columns and rows are hour-major.  Each hour holds the columns
+    (pg, rgu, rgd) per generator, (prs, th) per bus, f per line and
+    :data:`STORAGE_COLS` per storage bus, then the rows bal per bus,
+    regup, regdn, (gmax, gmin, rampup, rampdn) per generator (no ramp
+    rows in the first hour), flow per line and :data:`STORAGE_ROWS` per
+    storage bus.  Objective coefficients are scaled by ``weight``;
+    ``ratings`` are passed on to :func:`add_storage_block`.  Returns the
+    ``[hour, entity]`` index grids of every column and row kind.
     """
     T = day.n_hours
-    gens = net.generators
-    gens_at = {b: [] for b in net.buses}
-    for i, g in enumerate(gens):
-        gens_at[g.bus].append(i)
-    lines_out = {b: [] for b in net.buses}
-    lines_in = {b: [] for b in net.buses}
-    for l, ln in enumerate(net.lines):
-        lines_out[ln.from_bus].append(l)
-        lines_in[ln.to_bus].append(l)
+    gens, lines = net.generators, net.lines
+    ng, nb, nl, ns = len(gens), len(net.buses), len(lines), len(storage_buses)
+    bi = net.bus_index()
+    gen_bus = [bi[g.bus] for g in gens]
+    from_bus = [bi[ln.from_bus] for ln in lines]
+    to_bus = [bi[ln.to_bus] for ln in lines]
+    store = [bi[b] for b in storage_buses]
 
-    p = prefix
-    ref_bus = net.buses[0]
+    def gen_attr(name):
+        return np.array([getattr(g, name) for g in gens], dtype=float)
 
-    for t in range(1, T + 1):
-        for i, g in enumerate(gens):
-            lp.add_var(f"{p}pg[{t},{i}]", lb=0.0, cost=weight * g.c_g)
-            lp.add_var(f"{p}rgu[{t},{i}]", lb=0.0, ub=tech.t_ru * g.ramp_up,
-                       cost=weight * g.c_gu)
-            lp.add_var(f"{p}rgd[{t},{i}]", lb=0.0, ub=tech.t_rd * g.ramp_down,
-                       cost=weight * g.c_gd)
-        for b in net.buses:
-            spill_cap = day.profile("spill_max", b)[t - 1]
-            lp.add_var(f"{p}prs[{t},{b}]", lb=0.0, ub=spill_cap,
-                       cost=weight * day.c_rs)
-            if b == ref_bus:
-                lp.add_var(f"{p}th[{t},{b}]", lb=0.0, ub=0.0)
-            else:
-                lp.add_var(f"{p}th[{t},{b}]", lb=-np.inf, ub=np.inf)
-        for l, ln in enumerate(net.lines):
-            lp.add_var(f"{p}f[{t},{l}]", lb=-ln.capacity, ub=ln.capacity)
-        for b in storage_buses:
-            lp.add_var(f"{p}pch[{t},{b}]", lb=0.0, cost=weight * tech.c_ch)
-            lp.add_var(f"{p}pdis[{t},{b}]", lb=0.0, cost=weight * tech.c_dis)
-            lp.add_var(f"{p}reu[{t},{b}]", lb=0.0, cost=weight * tech.c_eu)
-            lp.add_var(f"{p}red[{t},{b}]", lb=0.0, cost=weight * tech.c_ed)
-            # nonnegativity of the SoC is enforced by the socmin row, so
-            # the variable itself is free (keeps the dual recursion clean)
-            lp.add_var(f"{p}esoc[{t},{b}]", lb=-np.inf, ub=np.inf)
+    def profile(kind):
+        return np.array([day.profile(kind, b) for b in net.buses],
+                        dtype=float).reshape(nb, T).T
 
-    storage_set = set(storage_buses)
-    for t in range(1, T + 1):
-        # nodal power balance
-        for b in net.buses:
-            coeffs = [(f"{p}pg[{t},{i}]", 1.0) for i in gens_at[b]]
-            coeffs += [(f"{p}f[{t},{l}]", -1.0) for l in lines_out[b]]
-            coeffs += [(f"{p}f[{t},{l}]", 1.0) for l in lines_in[b]]
-            coeffs.append((f"{p}prs[{t},{b}]", -1.0))
-            if b in storage_set:
-                coeffs.append((f"{p}pdis[{t},{b}]", tech.eta_dis))
-                coeffs.append((f"{p}pch[{t},{b}]", -1.0 / tech.eta_ch))
-            rhs = day.profile("demand", b)[t - 1] - day.profile("renewable", b)[t - 1]
-            lp.add_row(f"{p}bal[{t},{b}]", coeffs, EQ, rhs)
+    x = lp.add_cols((T, 3 * ng + 2 * nb + nl + 5 * ns))
+    g = x[:, :3 * ng].reshape(T, ng, 3)
+    bus = x[:, 3 * ng:3 * ng + 2 * nb].reshape(T, nb, 2)
+    cols = {"pg": g[..., 0], "rgu": g[..., 1], "rgd": g[..., 2],
+            "prs": bus[..., 0], "th": bus[..., 1],
+            "f": x[:, 3 * ng + 2 * nb:3 * ng + 2 * nb + nl]}
+    xs = x[:, 3 * ng + 2 * nb + nl:].reshape(T, ns, 5)
+    cols.update(zip(STORAGE_COLS, (xs[..., k] for k in range(5))))
 
-        # system regulation requirements
-        req = sum(day.phi_r * day.profile("renewable", b)[t - 1]
-                  + day.phi_d * day.profile("demand", b)[t - 1]
-                  for b in net.buses)
-        up = [(f"{p}rgu[{t},{i}]", 1.0) for i in range(len(gens))]
-        up += [(f"{p}reu[{t},{b}]", tech.eta_dis) for b in storage_buses]
-        lp.add_row(f"{p}regup[{t}]", up, GE, req)
-        dn = [(f"{p}rgd[{t},{i}]", 1.0) for i in range(len(gens))]
-        dn += [(f"{p}red[{t},{b}]", 1.0 / tech.eta_ch) for b in storage_buses]
-        lp.add_row(f"{p}regdn[{t}]", dn, GE, req)
+    lp.c[cols["pg"]] = weight * gen_attr("c_g")
+    lp.c[cols["rgu"]] = weight * gen_attr("c_gu")
+    lp.ub[cols["rgu"]] = tech.t_ru * gen_attr("ramp_up")
+    lp.c[cols["rgd"]] = weight * gen_attr("c_gd")
+    lp.ub[cols["rgd"]] = tech.t_rd * gen_attr("ramp_down")
+    lp.c[cols["prs"]] = weight * day.c_rs
+    lp.ub[cols["prs"]] = profile("spill_max")
+    lp.lb[cols["th"][:, 1:]] = -np.inf    # the first bus is the reference
+    lp.ub[cols["th"][:, 1:]] = np.inf
+    lp.ub[cols["th"][:, 0]] = 0.0
+    capacity = np.array([ln.capacity for ln in lines], dtype=float)
+    lp.lb[cols["f"]] = -capacity
+    lp.ub[cols["f"]] = capacity
+    for kind, cost in zip(STORAGE_COLS[:4],
+                          (tech.c_ch, tech.c_dis, tech.c_eu, tech.c_ed)):
+        lp.c[cols[kind]] = weight * cost
 
-        # generator capacity with regulation headroom
-        for i, g in enumerate(gens):
-            lp.add_row(f"{p}gmax[{t},{i}]",
-                       [(f"{p}pg[{t},{i}]", 1.0), (f"{p}rgu[{t},{i}]", 1.0)],
-                       LE, g.g_max)
-            lp.add_row(f"{p}gmin[{t},{i}]",
-                       [(f"{p}pg[{t},{i}]", 1.0), (f"{p}rgd[{t},{i}]", -1.0)],
-                       GE, g.g_min)
-            if t > 1:
-                lp.add_row(f"{p}rampup[{t},{i}]",
-                           [(f"{p}pg[{t},{i}]", 1.0), (f"{p}pg[{t-1},{i}]", -1.0)],
-                           LE, g.ramp_up)
-                lp.add_row(f"{p}rampdn[{t},{i}]",
-                           [(f"{p}pg[{t},{i}]", 1.0), (f"{p}pg[{t-1},{i}]", -1.0)],
-                           GE, -g.ramp_down)
+    g0 = nb + 2
+    width = g0 + 4 * ng + nl + 5 * ns
+    present = np.ones((T, width), dtype=bool)
+    present[0, g0 + 2:g0 + 4 * ng:4] = False     # no ramp rows in hour 1
+    present[0, g0 + 3:g0 + 4 * ng:4] = False
+    r = lp.add_rows((T, width), present)
+    gr = r[:, g0:g0 + 4 * ng].reshape(T, ng, 4)
+    rows = {"bal": r[:, :nb], "regup": r[:, nb], "regdn": r[:, nb + 1],
+            "gmax": gr[..., 0], "gmin": gr[..., 1],
+            "rampup": gr[1:, :, 2], "rampdn": gr[1:, :, 3],
+            "flow": r[:, g0 + 4 * ng:g0 + 4 * ng + nl]}
+    rs = r[:, g0 + 4 * ng + nl:].reshape(T, ns, 5)
+    rows.update(zip(STORAGE_ROWS, (rs[..., k] for k in range(5))))
 
-        # dc power flow definition
-        for l, ln in enumerate(net.lines):
-            lp.add_row(f"{p}flow[{t},{l}]",
-                       [(f"{p}f[{t},{l}]", 1.0),
-                        (f"{p}th[{t},{ln.from_bus}]", -1.0 / ln.reactance),
-                        (f"{p}th[{t},{ln.to_bus}]", 1.0 / ln.reactance)],
-                       EQ, 0.0)
+    # nodal power balance
+    demand, renewable = profile("demand"), profile("renewable")
+    bal = rows["bal"]
+    lp.set_rows(bal, EQ, demand - renewable, (cols["prs"], -1.0))
+    lp.add_terms(bal[:, gen_bus], cols["pg"], 1.0)
+    lp.add_terms(bal[:, from_bus], cols["f"], -1.0)
+    lp.add_terms(bal[:, to_bus], cols["f"], 1.0)
+    lp.add_terms(bal[:, store], cols["pdis"], tech.eta_dis)
+    lp.add_terms(bal[:, store], cols["pch"], -1.0 / tech.eta_ch)
 
-        # storage rating and state-of-charge rows
-        for b in storage_buses:
-            soc = [(f"{p}esoc[{t},{b}]", 1.0), (f"{p}pch[{t},{b}]", -1.0),
-                   (f"{p}pdis[{t},{b}]", 1.0)]
-            if t > 1:
-                soc.append((f"{p}esoc[{t-1},{b}]", -1.0))
-            lp.add_row(f"{p}soc[{t},{b}]", soc, EQ, 0.0)
+    # system regulation requirements, summed bus by bus
+    req = np.zeros(T)
+    for k in range(nb):
+        req = req + (day.phi_r * renewable[:, k] + day.phi_d * demand[:, k])
+    up, dn = rows["regup"][:, None], rows["regdn"][:, None]
+    lp.set_rows(rows["regup"], GE, req)
+    lp.add_terms(up, cols["rgu"], 1.0)
+    lp.add_terms(up, cols["reu"], tech.eta_dis)
+    lp.set_rows(rows["regdn"], GE, req)
+    lp.add_terms(dn, cols["rgd"], 1.0)
+    lp.add_terms(dn, cols["red"], 1.0 / tech.eta_ch)
 
-            ch = [(f"{p}pch[{t},{b}]", 1.0), (f"{p}red[{t},{b}]", 1.0)]
-            dis = [(f"{p}pdis[{t},{b}]", 1.0), (f"{p}reu[{t},{b}]", 1.0)]
-            emax = [(f"{p}esoc[{t},{b}]", 1.0), (f"{p}red[{t},{b}]", tech.t_es)]
-            if rating_vars is not None:
-                pv, ev = rating_vars[b]
-                lp.add_row(f"{p}chcap[{t},{b}]", ch + [(pv, -1.0)], LE, 0.0)
-                lp.add_row(f"{p}discap[{t},{b}]", dis + [(pv, -1.0)], LE, 0.0)
-                lp.add_row(f"{p}socmax[{t},{b}]", emax + [(ev, -1.0)], LE, 0.0)
-            else:
-                lp.add_row(f"{p}chcap[{t},{b}]", ch, LE, plan.power(b))
-                lp.add_row(f"{p}discap[{t},{b}]", dis, LE, plan.power(b))
-                lp.add_row(f"{p}socmax[{t},{b}]", emax, LE, plan.energy(b))
-            lp.add_row(f"{p}socmin[{t},{b}]",
-                       [(f"{p}esoc[{t},{b}]", 1.0), (f"{p}reu[{t},{b}]", -tech.t_es)],
-                       GE, 0.0)
+    # generator capacity with regulation headroom, and ramp limits
+    pg = cols["pg"]
+    lp.set_rows(rows["gmax"], LE, gen_attr("g_max"), (pg, 1.0),
+                (cols["rgu"], 1.0))
+    lp.set_rows(rows["gmin"], GE, gen_attr("g_min"), (pg, 1.0),
+                (cols["rgd"], -1.0))
+    lp.set_rows(rows["rampup"], LE, gen_attr("ramp_up"), (pg[1:], 1.0),
+                (pg[:-1], -1.0))
+    lp.set_rows(rows["rampdn"], GE, -gen_attr("ramp_down"), (pg[1:], 1.0),
+                (pg[:-1], -1.0))
+
+    # dc power flow definition
+    reactance = np.array([ln.reactance for ln in lines], dtype=float)
+    th = cols["th"]
+    lp.set_rows(rows["flow"], EQ, 0.0, (cols["f"], 1.0),
+                (th[:, from_bus], -1.0 / reactance),
+                (th[:, to_bus], 1.0 / reactance))
+
+    add_storage_block(lp, xs, rs, tech, **ratings)
+    return cols, rows
 
 
 def build_ed(net: Network, day: TypicalDay, plan: Plan,
-             tech: StorageTech) -> LinearProgram:
+             tech: StorageTech) -> lp_core.ArrayLP:
     """The economic-dispatch LP for one typical day at a fixed plan."""
     plan.check_ratio_bounds(tech)
     for b in plan.ratings:
         if b not in net.candidate_buses:
             raise ValueError(f"plan bus {b} is not a storage candidate")
-    lp = LinearProgram(name=f"ed[{day.day_id}]")
+    lp = LPBuilder(name=f"ed[{day.day_id}]")
     storage_buses = [b for b in net.candidate_buses
                      if plan.power(b) > INSTALLED_EPS]
-    add_day_block(lp, net, day, tech, storage_buses, plan=plan)
-    return lp
+    lp.cols, lp.rows = add_day_block(
+        lp, net, day, tech, storage_buses,
+        p_rhs=np.array([plan.power(b) for b in storage_buses]),
+        e_rhs=np.array([plan.energy(b) for b in storage_buses]))
+    return lp.build()
 
 
 @dataclass
@@ -211,57 +237,35 @@ class DispatchSolution:
 
 
 def extract_solution(sol: lp_core.LPSolution, net: Network, day: TypicalDay,
-                     storage_buses: list[str], prefix: str = "",
-                     lp: LinearProgram | None = None) -> DispatchSolution:
-    T = day.n_hours
-    nb, ng, nl = len(net.buses), len(net.generators), len(net.lines)
+                     storage_buses: list[str],
+                     lp: lp_core.ArrayLP) -> DispatchSolution:
+    """Slice the dispatch, prices and rating duals out of ``sol`` using
+    the index grids of ``lp`` (built by :func:`build_ed`)."""
+    x, y = sol.x, sol.duals
+    cols, rows = lp.cols, lp.rows
+    T, nb = day.n_hours, len(net.buses)
     bi = net.bus_index()
-    p = prefix
+    store = [bi[b] for b in storage_buses]
 
-    def grid(shape):
-        return np.zeros(shape)
+    def at_buses(values):
+        out = np.zeros((T, nb))
+        out[:, store] = values
+        return out
 
-    out = DispatchSolution(
+    return DispatchSolution(
         day_id=day.day_id, n_hours=T, buses=list(net.buses),
-        cost=sol.objective,
-        duality_gap=lp_core.duality_gap(sol, lp) if lp is not None else np.nan,
-        p_g=grid((T, ng)), r_gu=grid((T, ng)), r_gd=grid((T, ng)),
-        p_rs=grid((T, nb)), f=grid((T, nl)), theta=grid((T, nb)),
-        p_ch=grid((T, nb)), p_dis=grid((T, nb)), r_eu=grid((T, nb)),
-        r_ed=grid((T, nb)), e_soc=grid((T, nb)),
-        lmp=grid((T, nb)), lam_ru=grid(T), lam_rd=grid(T),
-        phi_ch=grid((T, nb)), phi_dis=grid((T, nb)), phi_soc=grid((T, nb)),
-        psi_soc=grid((T, nb)), gamma_e=grid((T, nb)),
+        cost=sol.objective, duality_gap=lp_core.duality_gap(sol, lp),
+        p_g=x[cols["pg"]], r_gu=x[cols["rgu"]], r_gd=x[cols["rgd"]],
+        p_rs=x[cols["prs"]], f=x[cols["f"]], theta=x[cols["th"]],
+        p_ch=at_buses(x[cols["pch"]]), p_dis=at_buses(x[cols["pdis"]]),
+        r_eu=at_buses(x[cols["reu"]]), r_ed=at_buses(x[cols["red"]]),
+        e_soc=at_buses(x[cols["esoc"]]),
+        lmp=y[rows["bal"]], lam_ru=y[rows["regup"]], lam_rd=y[rows["regdn"]],
+        phi_ch=at_buses(y[rows["chcap"]]), phi_dis=at_buses(y[rows["discap"]]),
+        phi_soc=at_buses(y[rows["socmax"]]),
+        psi_soc=at_buses(y[rows["socmin"]]), gamma_e=at_buses(y[rows["soc"]]),
         storage_buses=list(storage_buses),
     )
-    for t in range(1, T + 1):
-        k = t - 1
-        for i in range(ng):
-            out.p_g[k, i] = sol.value(f"{p}pg[{t},{i}]")
-            out.r_gu[k, i] = sol.value(f"{p}rgu[{t},{i}]")
-            out.r_gd[k, i] = sol.value(f"{p}rgd[{t},{i}]")
-        for b in net.buses:
-            c = bi[b]
-            out.p_rs[k, c] = sol.value(f"{p}prs[{t},{b}]")
-            out.theta[k, c] = sol.value(f"{p}th[{t},{b}]")
-            out.lmp[k, c] = sol.dual(f"{p}bal[{t},{b}]")
-        for l in range(nl):
-            out.f[k, l] = sol.value(f"{p}f[{t},{l}]")
-        out.lam_ru[k] = sol.dual(f"{p}regup[{t}]")
-        out.lam_rd[k] = sol.dual(f"{p}regdn[{t}]")
-        for b in storage_buses:
-            c = bi[b]
-            out.p_ch[k, c] = sol.value(f"{p}pch[{t},{b}]")
-            out.p_dis[k, c] = sol.value(f"{p}pdis[{t},{b}]")
-            out.r_eu[k, c] = sol.value(f"{p}reu[{t},{b}]")
-            out.r_ed[k, c] = sol.value(f"{p}red[{t},{b}]")
-            out.e_soc[k, c] = sol.value(f"{p}esoc[{t},{b}]")
-            out.phi_ch[k, c] = sol.dual(f"{p}chcap[{t},{b}]")
-            out.phi_dis[k, c] = sol.dual(f"{p}discap[{t},{b}]")
-            out.phi_soc[k, c] = sol.dual(f"{p}socmax[{t},{b}]")
-            out.psi_soc[k, c] = sol.dual(f"{p}socmin[{t},{b}]")
-            out.gamma_e[k, c] = sol.dual(f"{p}soc[{t},{b}]")
-    return out
 
 
 def _first_infeasible_hour(net: Network, day: TypicalDay, plan: Plan,

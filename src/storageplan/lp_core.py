@@ -1,9 +1,12 @@
-"""Generic linear-program container and solver with primal and dual output.
+"""Linear programs in array form, solved by HiGHS with fixed dual signs.
 
 This is the single numerical engine behind dispatch, the marginal-unit
-subproblem, the master problem and the monolithic baseline.  Solving is
-delegated to HiGHS through :func:`scipy.optimize.linprog`; the wrapper
-fixes the dual sign convention used throughout the package:
+subproblem, the master problem and the monolithic baseline.  Large LPs
+are assembled block by block with numpy by :class:`LPBuilder`; small
+ones may be written row by row with the named :class:`LinearProgram`,
+which compiles to the same :class:`ArrayLP`.  Solving is delegated to
+HiGHS through :func:`scipy.optimize.linprog`; the wrapper fixes the dual
+sign convention used throughout the package:
 
 * the dual of a row is d(objective)/d(rhs) of the row *as written*, so
   under minimization ``<=`` rows have nonpositive duals, ``>=`` rows
@@ -25,6 +28,9 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
 LE, GE, EQ = "<=", ">=", "="
+# row sense codes of an ArrayLP: the sign that turns the row into "<="
+# for inequalities, 0 for equalities
+SENSE = {LE: 1, GE: -1, EQ: 0}
 
 FEAS_TOL = 1e-7
 GAP_TOL = 1e-8
@@ -42,6 +48,101 @@ class LPError(Exception):
 
 
 @dataclass
+class ArrayLP:
+    """A minimization LP as arrays: min ``c @ x`` subject to
+    ``A @ x (sense) rhs`` row by row and ``lb <= x <= ub``.
+
+    ``sense`` holds :data:`SENSE` codes.  ``cols`` and ``rows`` name
+    blocks of column and row indices, e.g. a ``[hour, generator]`` grid,
+    so that solutions are read back by slicing.
+    """
+
+    name: str
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    A: csr_matrix
+    sense: np.ndarray
+    rhs: np.ndarray
+    cols: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def n_vars(self) -> int:
+        return self.c.size
+
+    @property
+    def n_rows(self) -> int:
+        return self.rhs.size
+
+    def nnz(self) -> int:
+        return self.A.nnz
+
+
+class LPBuilder:
+    """Assembles an :class:`ArrayLP` block by block with numpy.
+
+    :meth:`add_cols` and :meth:`add_rows` append columns and rows in the
+    C order of the index grid they return, so the shapes a caller asks
+    for fix the model's column and row order.  New columns start at cost
+    0 with bounds [0, inf); callers overwrite ``c``/``lb``/``ub`` through
+    the returned grids.  Zero coefficients are dropped at :meth:`build`.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.c = np.empty(0)
+        self.lb = np.empty(0)
+        self.ub = np.empty(0)
+        self.sense = np.empty(0, dtype=np.int8)
+        self.rhs = np.empty(0)
+        self.cols: dict[str, np.ndarray] = {}
+        self.rows: dict[str, np.ndarray] = {}
+        self._terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add_cols(self, shape) -> np.ndarray:
+        start, n = self.c.size, int(np.prod(shape))
+        self.c = np.concatenate((self.c, np.zeros(n)))
+        self.lb = np.concatenate((self.lb, np.zeros(n)))
+        self.ub = np.concatenate((self.ub, np.full(n, math.inf)))
+        return np.arange(start, start + n).reshape(shape)
+
+    def add_rows(self, shape, present: np.ndarray | None = None) -> np.ndarray:
+        """Row indices for a grid of ``shape``; slots where ``present`` is
+        False get no row and index -1."""
+        if present is None:
+            present = np.ones(shape, dtype=bool)
+        start, n = self.rhs.size, int(present.sum())
+        idx = np.full(shape, -1)
+        idx[present] = np.arange(start, start + n)
+        self.sense = np.concatenate((self.sense, np.zeros(n, dtype=np.int8)))
+        self.rhs = np.concatenate((self.rhs, np.zeros(n)))
+        return idx
+
+    def set_rows(self, rows: np.ndarray, relation: str, rhs, *terms):
+        """Give ``rows`` a relation, right-hand sides and coefficients;
+        each term is a (column grid, coefficient) pair broadcast against
+        ``rows``."""
+        self.sense[rows] = SENSE[relation]
+        self.rhs[rows] = rhs
+        for cols, coef in terms:
+            self.add_terms(rows, cols, coef)
+
+    def add_terms(self, rows: np.ndarray, cols: np.ndarray, coef):
+        """Coefficients ``coef`` at (``rows``, ``cols``), broadcast."""
+        i, j, v = np.broadcast_arrays(rows, cols, np.asarray(coef, float))
+        self._terms.append((i.ravel(), j.ravel(), v.ravel()))
+
+    def build(self) -> ArrayLP:
+        i, j, v = (np.concatenate(a) for a in zip(*self._terms))
+        keep = v != 0.0
+        A = csr_matrix((v[keep], (i[keep], j[keep])),
+                       shape=(self.rhs.size, self.c.size))
+        return ArrayLP(self.name, self.c, self.lb, self.ub, A, self.sense,
+                       self.rhs, self.cols, self.rows)
+
+
+@dataclass
 class _Row:
     name: str
     coeffs: list[tuple[int, float]]
@@ -50,7 +151,7 @@ class _Row:
 
 
 class LinearProgram:
-    """A minimization LP with named variables and named constraint rows."""
+    """A small minimization LP with named variables and named rows."""
 
     def __init__(self, name: str = "lp"):
         self.name = name
@@ -75,12 +176,6 @@ class LinearProgram:
         self.ub.append(ub)
         self.cost.append(cost)
         return idx
-
-    def var(self, name: str) -> int:
-        return self._var_index[name]
-
-    def add_to_cost(self, name: str, coef: float):
-        self.cost[self._var_index[name]] += coef
 
     def add_row(self, name: str, coeffs: list[tuple[str, float]], relation: str,
                 rhs: float):
@@ -108,6 +203,17 @@ class LinearProgram:
     def nnz(self) -> int:
         return sum(len(r.coeffs) for r in self.rows)
 
+    def to_arrays(self) -> ArrayLP:
+        i = [k for k, row in enumerate(self.rows) for _ in row.coeffs]
+        j = [col for row in self.rows for col, _ in row.coeffs]
+        v = [coef for row in self.rows for _, coef in row.coeffs]
+        A = csr_matrix((v, (i, j)), shape=(self.n_rows, self.n_vars))
+        return ArrayLP(
+            self.name, np.asarray(self.cost, dtype=float),
+            np.asarray(self.lb, dtype=float), np.asarray(self.ub, dtype=float),
+            A, np.array([SENSE[r.relation] for r in self.rows], dtype=np.int8),
+            np.array([r.rhs for r in self.rows], dtype=float))
+
     def write_lp_format(self, path):
         """Dump in CPLEX LP text format for external cross-checking."""
         def term(coef, name):
@@ -131,15 +237,23 @@ class LinearProgram:
             fh.write("End\n")
 
 
+def _arrays(lp: ArrayLP | LinearProgram) -> ArrayLP:
+    return lp.to_arrays() if isinstance(lp, LinearProgram) else lp
+
+
 @dataclass
 class LPSolution:
+    """Primal values, row duals and reduced costs in model order.
+
+    Solutions of a :class:`LinearProgram` also answer lookups by name;
+    the name maps are the program's own, shared rather than copied.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float = math.nan
     x: np.ndarray = field(default_factory=lambda: np.empty(0))
     duals: np.ndarray = field(default_factory=lambda: np.empty(0))
     reduced_costs: np.ndarray = field(default_factory=lambda: np.empty(0))
-    var_names: list[str] = field(default_factory=list)
-    row_names: list[str] = field(default_factory=list)
     _var_index: dict[str, int] = field(default_factory=dict, repr=False)
     _row_index: dict[str, int] = field(default_factory=dict, repr=False)
 
@@ -149,95 +263,70 @@ class LPSolution:
     def dual(self, name: str) -> float:
         return float(self.duals[self._row_index[name]])
 
-    def has_row(self, name: str) -> bool:
-        return name in self._row_index
-
 
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Solve to optimality, returning primal values, row duals and reduced costs."""
-    n = lp.n_vars
-    if n == 0:
+def solve(lp: ArrayLP | LinearProgram) -> LPSolution:
+    """Solve to optimality, returning primal values, row duals and reduced costs.
+
+    HiGHS receives the ``<=``/``>=`` rows, in model order and negated for
+    ``>=``, as ``A_ub`` and the equality rows as ``A_eq``.
+    """
+    a = _arrays(lp)
+    if a.n_vars == 0:
         raise LPError("no variables")
-    c = np.asarray(lp.cost, dtype=float)
-    bounds = list(zip(lp.lb, lp.ub))
-
-    ub_rows, eq_rows = [], []
-    data_ub, i_ub, j_ub, b_ub = [], [], [], []
-    data_eq, i_eq, j_eq, b_eq = [], [], [], []
-    for k, row in enumerate(lp.rows):
-        if row.relation == EQ:
-            r = len(eq_rows)
-            eq_rows.append(k)
-            for j, coef in row.coeffs:
-                i_eq.append(r)
-                j_eq.append(j)
-                data_eq.append(coef)
-            b_eq.append(row.rhs)
-        else:
-            sign = 1.0 if row.relation == LE else -1.0
-            r = len(ub_rows)
-            ub_rows.append(k)
-            for j, coef in row.coeffs:
-                i_ub.append(r)
-                j_ub.append(j)
-                data_ub.append(sign * coef)
-            b_ub.append(sign * row.rhs)
-
+    ub_rows = np.flatnonzero(a.sense != 0)
+    eq_rows = np.flatnonzero(a.sense == 0)
+    sign = a.sense[ub_rows].astype(float)
     kwargs = {}
-    if ub_rows:
-        kwargs["A_ub"] = csr_matrix((data_ub, (i_ub, j_ub)), shape=(len(ub_rows), n))
-        kwargs["b_ub"] = np.asarray(b_ub)
-    if eq_rows:
-        kwargs["A_eq"] = csr_matrix((data_eq, (i_eq, j_eq)), shape=(len(eq_rows), n))
-        kwargs["b_eq"] = np.asarray(b_eq)
+    if ub_rows.size:
+        A_ub = a.A[ub_rows]
+        A_ub.data = A_ub.data * np.repeat(sign, np.diff(A_ub.indptr))
+        kwargs["A_ub"] = A_ub
+        kwargs["b_ub"] = sign * a.rhs[ub_rows]
+    if eq_rows.size:
+        kwargs["A_eq"] = a.A[eq_rows]
+        kwargs["b_eq"] = a.rhs[eq_rows]
 
-    res = linprog(c, bounds=bounds, method="highs", options=_HIGHS_OPTIONS, **kwargs)
+    res = linprog(a.c, bounds=np.column_stack((a.lb, a.ub)), method="highs",
+                  options=_HIGHS_OPTIONS, **kwargs)
     status = _STATUS.get(res.status)
     if status is None:
-        raise LPError(f"solver failure on {lp.name}: {res.message}")
-    row_names = [r.name for r in lp.rows]
+        raise LPError(f"solver failure on {a.name}: {res.message}")
+    names = {}
+    if isinstance(lp, LinearProgram):
+        names = {"_var_index": lp._var_index, "_row_index": lp._row_index}
     if status != "optimal":
-        return LPSolution(status=status, var_names=list(lp.var_names),
-                          row_names=row_names)
+        return LPSolution(status=status, **names)
 
-    duals = np.zeros(lp.n_rows)
-    for r, k in enumerate(ub_rows):
-        marg = res.ineqlin.marginals[r]
-        duals[k] = marg if lp.rows[k].relation == LE else -marg
-    for r, k in enumerate(eq_rows):
-        duals[k] = res.eqlin.marginals[r]
-    reduced = np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals)
-
+    duals = np.zeros(a.n_rows)
+    if ub_rows.size:
+        duals[ub_rows] = sign * res.ineqlin.marginals
+    if eq_rows.size:
+        duals[eq_rows] = res.eqlin.marginals
     return LPSolution(
         status="optimal",
         objective=float(res.fun),
         x=np.asarray(res.x, dtype=float),
         duals=duals,
-        reduced_costs=reduced,
-        var_names=list(lp.var_names),
-        row_names=row_names,
-        _var_index=dict(lp._var_index),
-        _row_index=dict(lp._row_index),
+        reduced_costs=np.asarray(res.lower.marginals)
+        + np.asarray(res.upper.marginals),
+        **names,
     )
 
 
-def dual_objective(sol: LPSolution, lp: LinearProgram) -> float:
+def dual_objective(sol: LPSolution, lp: ArrayLP | LinearProgram) -> float:
     """Dual objective from row duals, reduced costs, bounds and rhs values."""
-    total = 0.0
-    for row, y in zip(lp.rows, sol.duals):
-        total += y * row.rhs
-    for lo, hi, z in zip(lp.lb, lp.ub, sol.reduced_costs):
-        if z > 0 and math.isfinite(lo):
-            total += z * lo
-        elif z < 0 and math.isfinite(hi):
-            total += z * hi
-    return total
+    a = _arrays(lp)
+    z = sol.reduced_costs
+    at_lb = (z > 0) & np.isfinite(a.lb)
+    at_ub = (z < 0) & np.isfinite(a.ub)
+    return float(sol.duals @ a.rhs + z[at_lb] @ a.lb[at_lb]
+                 + z[at_ub] @ a.ub[at_ub])
 
 
-def duality_gap(sol: LPSolution, lp: LinearProgram) -> float:
+def duality_gap(sol: LPSolution, lp: ArrayLP | LinearProgram) -> float:
     """Relative primal-dual objective mismatch of an optimal solution."""
     if sol.status != "optimal":
         raise LPError("duality_gap requires an optimal solution")
@@ -245,26 +334,18 @@ def duality_gap(sol: LPSolution, lp: LinearProgram) -> float:
     return abs(sol.objective - dual) / max(1.0, abs(sol.objective))
 
 
-def max_constraint_violation(sol: LPSolution, lp: LinearProgram) -> float:
-    worst = 0.0
-    for row in lp.rows:
-        lhs = sum(coef * sol.x[j] for j, coef in row.coeffs)
-        if row.relation == LE:
-            worst = max(worst, lhs - row.rhs)
-        elif row.relation == GE:
-            worst = max(worst, row.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - row.rhs))
-    for lo, hi, x in zip(lp.lb, lp.ub, sol.x):
-        worst = max(worst, lo - x, x - hi)
-    return worst
+def max_constraint_violation(sol: LPSolution,
+                             lp: ArrayLP | LinearProgram) -> float:
+    a = _arrays(lp)
+    resid = a.A @ sol.x - a.rhs
+    rows = np.where(a.sense == 0, np.abs(resid), a.sense * resid)
+    bounds = np.maximum(a.lb - sol.x, sol.x - a.ub)
+    return float(max(0.0, rows.max(initial=0.0), bounds.max(initial=0.0)))
 
 
-def max_complementarity_violation(sol: LPSolution, lp: LinearProgram) -> float:
-    worst = 0.0
-    for row, y in zip(lp.rows, sol.duals):
-        if row.relation == EQ:
-            continue
-        lhs = sum(coef * sol.x[j] for j, coef in row.coeffs)
-        worst = max(worst, abs(y * (row.rhs - lhs)))
-    return worst
+def max_complementarity_violation(sol: LPSolution,
+                                  lp: ArrayLP | LinearProgram) -> float:
+    a = _arrays(lp)
+    ineq = a.sense != 0
+    slack = a.rhs[ineq] - a.A[ineq] @ sol.x
+    return float(np.abs(sol.duals[ineq] * slack).max(initial=0.0))

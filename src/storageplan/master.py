@@ -50,13 +50,18 @@ class MasterState:
         self.lower_bound = -math.inf
 
 
-def _build_master(state: MasterState) -> LinearProgram:
+def _build_master(state: MasterState, z_level: float | None = None
+                  ) -> LinearProgram:
+    """The cut model.  With ``z_level`` set it becomes the tie-break LP:
+    keep ``z`` within ``z_level`` and minimize total installed rating,
+    with a small bias towards low bus indices."""
     tech = state.tech
     lp = LinearProgram(name="master")
-    lp.add_var("z", lb=-math.inf, cost=1.0)
-    for b in state.candidate_buses:
-        lp.add_var(f"p[{b}]", lb=0.0)
-        lp.add_var(f"e[{b}]", lb=0.0)
+    lp.add_var("z", lb=-math.inf, cost=1.0 if z_level is None else 0.0)
+    for idx, b in enumerate(state.candidate_buses):
+        w = 0.0 if z_level is None else 1.0 + 1e-7 * idx
+        lp.add_var(f"p[{b}]", lb=0.0, cost=w)
+        lp.add_var(f"e[{b}]", lb=0.0, cost=w)
         lp.add_row(f"ratio_lo[{b}]",
                    [(f"p[{b}]", 1.0), (f"e[{b}]", -tech.rho_min)], GE, 0.0)
         lp.add_row(f"ratio_hi[{b}]",
@@ -77,6 +82,8 @@ def _build_master(state: MasterState) -> LinearProgram:
             coeffs.append((f"e[{b}]", -ge))
             rhs -= gp * pp + ge * pe
         lp.add_row(f"cut[{k}]", coeffs, GE, rhs)
+    if z_level is not None:
+        lp.add_row("z_level", [("z", 1.0)], LE, z_level)
     return lp
 
 
@@ -84,23 +91,15 @@ def solve_master(state: MasterState) -> tuple[Plan, float]:
     """Minimize the cut model; return the inquiry plan and the lower bound."""
     if not state.cuts:
         raise MasterError("master requires at least one cut")
-    lp = _build_master(state)
-    sol = lp_core.solve(lp)
+    sol = lp_core.solve(_build_master(state))
     if sol.status != "optimal":
         raise MasterError(f"master solve returned {sol.status}")
     z = sol.objective
 
     # deterministic tie-break: smallest total rating, low bus ids first
-    tie = _build_master(state)
-    tie.add_row("z_level", [("z", 1.0)], LE, z + 1e-7 * max(1.0, abs(z)))
-    for j in range(tie.n_vars):
-        tie.cost[j] = 0.0
-    for idx, b in enumerate(state.candidate_buses):
-        w = 1.0 + 1e-7 * idx
-        tie.add_to_cost(f"p[{b}]", w)
-        tie.add_to_cost(f"e[{b}]", w)
     try:
-        tie_sol = lp_core.solve(tie)
+        tie_sol = lp_core.solve(
+            _build_master(state, z_level=z + 1e-7 * max(1.0, abs(z))))
     except lp_core.LPError:
         tie_sol = None
     if tie_sol is not None and tie_sol.status == "optimal":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import lp_core
 from .dispatch import add_day_block
-from .lp_core import GE, LE, LinearProgram
+from .lp_core import GE, LE, LPBuilder
 from .model import Network, Plan, StorageTech, TypicalDay
 
 
@@ -28,26 +28,26 @@ class OracleResult:
 
 
 def build_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
-                     budget: float | None) -> LinearProgram:
-    lp = LinearProgram(name="monolithic")
-    rating_vars = {}
-    for b in net.candidate_buses:
-        pv = f"pR[{b}]"
-        ev = f"eR[{b}]"
-        lp.add_var(pv, lb=0.0, cost=tech.c_p)
-        lp.add_var(ev, lb=0.0, cost=tech.c_e)
-        lp.add_row(f"ratio_lo[{b}]", [(pv, 1.0), (ev, -tech.rho_min)], GE, 0.0)
-        lp.add_row(f"ratio_hi[{b}]", [(pv, 1.0), (ev, -tech.rho_max)], LE, 0.0)
-        rating_vars[b] = (pv, ev)
+                     budget: float | None) -> lp_core.ArrayLP:
+    """Rating columns (pR, eR) per candidate bus with their ratio rows,
+    the optional budget row, then one weighted dispatch block per day
+    whose storage rows read the rating columns."""
+    lp = LPBuilder(name="monolithic")
+    ratings = lp.add_cols((len(net.candidate_buses), 2))
+    pR, eR = ratings[:, 0], ratings[:, 1]
+    lp.c[pR] = tech.c_p
+    lp.c[eR] = tech.c_e
+    ratio = lp.add_rows(ratings.shape)
+    lp.set_rows(ratio[:, 0], GE, 0.0, (pR, 1.0), (eR, -tech.rho_min))
+    lp.set_rows(ratio[:, 1], LE, 0.0, (pR, 1.0), (eR, -tech.rho_max))
     if budget is not None:
-        coeffs = [(f"pR[{b}]", tech.c_p) for b in net.candidate_buses]
-        coeffs += [(f"eR[{b}]", tech.c_e) for b in net.candidate_buses]
-        lp.add_row("budget", coeffs, LE, budget)
+        lp.set_rows(lp.add_rows(1), LE, budget, (pR, tech.c_p),
+                    (eR, tech.c_e))
     for day in days:
         add_day_block(lp, net, day, tech, list(net.candidate_buses),
-                      rating_vars=rating_vars, weight=day.weight,
-                      prefix=f"{day.day_id}/")
-    return lp
+                      weight=day.weight, p_col=pR, e_col=eR)
+    lp.cols = {"pR": pR, "eR": eR}
+    return lp.build()
 
 
 def solve_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
@@ -60,11 +60,10 @@ def solve_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
     if sol.status != "optimal":
         raise RuntimeError(f"monolithic LP {sol.status}")
     ratings = {}
-    for b in net.candidate_buses:
-        p = sol.value(f"pR[{b}]")
-        e = sol.value(f"eR[{b}]")
+    for b, p, e in zip(net.candidate_buses, sol.x[lp.cols["pR"]],
+                       sol.x[lp.cols["eR"]]):
         if p > 1e-7 or e > 1e-7:
-            ratings[b] = (max(p, 0.0), max(e, 0.0))
+            ratings[b] = (max(float(p), 0.0), max(float(e), 0.0))
     return OracleResult(
         plan=Plan(ratings), system_cost=sol.objective,
         build_time=t1 - t0, solve_time=t2 - t1,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp_core
-from .dispatch import DispatchSolution
-from .lp_core import EQ, GE, LE, LinearProgram
+from .dispatch import DispatchSolution, add_storage_block
+from .lp_core import LPBuilder
 from .model import Network, Plan, StorageTech, TypicalDay
 
 
@@ -64,52 +64,34 @@ def subgrad_installed(sols: dict[str, DispatchSolution], weights: dict[str, floa
 
 
 def build_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
-               tech: StorageTech, bus: str) -> LinearProgram:
+               tech: StorageTech, bus: str) -> lp_core.ArrayLP:
     """Price-taker LP for a marginal 1 MWh unit at ``bus``.
 
-    Variables are the unit's dispatch over every typical day plus its
-    power/energy ratio rho (the power rating, since the energy rating is
-    normalized to 1 MWh).  Prices are frozen at the current iteration's
-    duals.  The optimal objective is the net daily cost of the unit
-    excluding the energy-capital constant ``c_e``.
+    Columns are the unit's power/energy ratio rho (the power rating,
+    since the energy rating is normalized to 1 MWh) followed by its
+    dispatch over every typical day.  Prices are frozen at the current
+    iteration's duals.  The optimal objective is the net daily cost of
+    the unit excluding the energy-capital constant ``c_e``.
     """
-    lp = LinearProgram(name=f"sgsp[{bus}]")
-    lp.add_var("rho", lb=tech.rho_min, ub=tech.rho_max, cost=tech.c_p)
+    lp = LPBuilder(name=f"sgsp[{bus}]")
+    rho = lp.add_cols(())
+    lp.c[rho] = tech.c_p
+    lp.lb[rho] = tech.rho_min
+    lp.ub[rho] = tech.rho_max
     for day in days:
         sol = prices[day.day_id]
         w = day.weight
-        c = sol.bus_col(bus)
-        d = day.day_id
-        for t in range(1, day.n_hours + 1):
-            lam = sol.lmp[t - 1, c]
-            lp.add_var(f"pch[{d},{t}]", lb=0.0,
-                       cost=w * (lam / tech.eta_ch + tech.c_ch))
-            lp.add_var(f"pdis[{d},{t}]", lb=0.0,
-                       cost=w * (-lam * tech.eta_dis + tech.c_dis))
-            lp.add_var(f"reu[{d},{t}]", lb=0.0,
-                       cost=w * (-sol.lam_ru[t - 1] * tech.eta_dis + tech.c_eu))
-            lp.add_var(f"red[{d},{t}]", lb=0.0,
-                       cost=w * (-sol.lam_rd[t - 1] / tech.eta_ch + tech.c_ed))
-            lp.add_var(f"esoc[{d},{t}]", lb=-np.inf)
-        for t in range(1, day.n_hours + 1):
-            soc = [(f"esoc[{d},{t}]", 1.0), (f"pch[{d},{t}]", -1.0),
-                   (f"pdis[{d},{t}]", 1.0)]
-            if t > 1:
-                soc.append((f"esoc[{d},{t-1}]", -1.0))
-            lp.add_row(f"soc[{d},{t}]", soc, EQ, 0.0)
-            lp.add_row(f"chcap[{d},{t}]",
-                       [(f"pch[{d},{t}]", 1.0), (f"red[{d},{t}]", 1.0),
-                        ("rho", -1.0)], LE, 0.0)
-            lp.add_row(f"discap[{d},{t}]",
-                       [(f"pdis[{d},{t}]", 1.0), (f"reu[{d},{t}]", 1.0),
-                        ("rho", -1.0)], LE, 0.0)
-            lp.add_row(f"socmax[{d},{t}]",
-                       [(f"esoc[{d},{t}]", 1.0), (f"red[{d},{t}]", tech.t_es)],
-                       LE, 1.0)
-            lp.add_row(f"socmin[{d},{t}]",
-                       [(f"esoc[{d},{t}]", 1.0), (f"reu[{d},{t}]", -tech.t_es)],
-                       GE, 0.0)
-    return lp
+        lam = sol.lmp[:, sol.bus_col(bus)]
+        x = lp.add_cols((day.n_hours, 1, 5))
+        pch, pdis, reu, red = (x[:, 0, k] for k in range(4))
+        lp.c[pch] = w * (lam / tech.eta_ch + tech.c_ch)
+        lp.c[pdis] = w * (-lam * tech.eta_dis + tech.c_dis)
+        lp.c[reu] = w * (-sol.lam_ru * tech.eta_dis + tech.c_eu)
+        lp.c[red] = w * (-sol.lam_rd / tech.eta_ch + tech.c_ed)
+        add_storage_block(lp, x, lp.add_rows(x.shape), tech, p_col=rho,
+                          e_rhs=1.0)
+    lp.cols = {"rho": rho}
+    return lp.build()
 
 
 def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
@@ -119,7 +101,7 @@ def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
     sol = lp_core.solve(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"marginal-unit LP {sol.status} at bus {bus}")
-    return sol.objective + tech.c_e, sol.value("rho")
+    return sol.objective + tech.c_e, float(sol.x[lp.cols["rho"]])
 
 
 def split_subgradient(g0: float, rho0: float) -> tuple[float, float]:
@@ -129,23 +111,17 @@ def split_subgradient(g0: float, rho0: float) -> tuple[float, float]:
 
 def compute_subgradients(net: Network, days: list[TypicalDay],
                          sols: dict[str, DispatchSolution], plan: Plan,
-                         tech: StorageTech,
-                         pool=None) -> tuple[dict[str, tuple[float, float]],
-                                             dict[str, str]]:
+                         tech: StorageTech
+                         ) -> tuple[dict[str, tuple[float, float]],
+                                    dict[str, str]]:
     """Subgradient pair and branch tag for every candidate bus."""
     weights = {day.day_id: day.weight for day in days}
     grads = subgrad_installed(sols, weights, tech, plan)
     branch = {b: "BE" for b in grads}
-    empty = [b for b in net.candidate_buses if b not in grads]
-
-    def one(b):
-        g0, rho0 = solve_sgsp(days, sols, tech, b)
-        return b, split_subgradient(g0, rho0)
-
-    results = pool.map(one, empty) if pool is not None else map(one, empty)
-    for b, pair in results:
-        grads[b] = pair
-        branch[b] = "BN"
+    for b in net.candidate_buses:
+        if b not in grads:
+            grads[b] = split_subgradient(*solve_sgsp(days, sols, tech, b))
+            branch[b] = "BN"
     return grads, branch
 
 

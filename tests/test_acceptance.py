@@ -4,6 +4,7 @@ Each test prints a single summary line; the pytest verdict of the test
 is the pass/fail status of the criterion.
 """
 
+import sys
 import time
 
 import numpy as np
@@ -245,6 +246,41 @@ def test_criterion_8_scaling_benchmark():
     print(f"criterion 8 PASS: decomposition within 2x linear; at 10 days "
           f"monolithic grew {mono_ratio:.1f}x vs decomposition "
           f"{dec_ratio:.1f}x")
+
+
+def test_criterion_8_solve_counts(monkeypatch):
+    """Deterministic companion to criterion 8: LP solves by caller.  Each
+    sweep solves one dispatch LP per day plus one marginal-unit LP per
+    empty candidate, so dispatch work grows linearly in the day count."""
+    base = instances.random_instance(1, n_buses=10, n_days=10)
+    n_cand = len(base.net.candidate_buses)
+    real_solve = lp_core.solve
+    callers = []
+
+    def counting_solve(lp):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real_solve(lp)
+
+    monkeypatch.setattr(lp_core, "solve", counting_solve)
+    counts = []
+    for n in (1, 3, 5, 10):
+        callers.clear()
+        res = planner.inner_loop(base.net, base.days[:n], base.tech,
+                                 base.budget, epsilon=EPSILON)
+        sweeps = len(res.iterations) + 1
+        assert callers.count("storageplan.dispatch") == n * sweeps
+        # sgsp solves between each sweep's dispatch run and the master
+        per_sweep, seen = [], None
+        for c in callers:
+            if c == "storageplan.dispatch" and seen != c:
+                per_sweep.append(0)
+            elif c == "storageplan.subgradient":
+                per_sweep[-1] += 1
+            seen = c
+        empty = [n_cand] + [n_cand - r.plan_nonzeros for r in res.iterations]
+        assert per_sweep == empty
+        counts.append((n, sweeps, len(callers)))
+    print(f"criterion 8 counts PASS: (days, sweeps, LP solves) {counts}")
 
 
 def test_criterion_9_reference_technology_configs():

@@ -9,6 +9,7 @@ from storageplan.dispatch import (DispatchInfeasibleError, build_ed,
 from storageplan.instances import simple_tech
 from storageplan.model import (Generator, Network, Plan, StorageTech,
                                TypicalDay)
+from storageplan.subgradient import compute_subgradients
 
 
 def one_bus(gens, demand, **day_kw):
@@ -29,10 +30,9 @@ class TestProblemSize:
         lp = build_ed(net, day, Plan(), simple_tech())
         # per hour: p_g, r_gu, r_gd, spillage, angle
         assert lp.n_vars == 24 * 5
-        names = [r.name for r in lp.rows]
-        assert sum(n.startswith("bal[") for n in names) == 24
-        assert sum(n.startswith("reg") for n in names) == 48
-        assert sum(n.startswith("ramp") for n in names) == 2 * 23
+        assert lp.rows["bal"].size == 24
+        assert lp.rows["regup"].size + lp.rows["regdn"].size == 48
+        assert lp.rows["rampup"].size + lp.rows["rampdn"].size == 2 * 23
 
     def test_storage_adds_five_vars_and_five_rows_per_hour(self):
         net, day = one_bus(
@@ -118,6 +118,15 @@ class TestSolutionInvariants:
     def test_duality_gap(self, solved):
         _, _, _, sol = solved
         assert sol.duality_gap <= lp_core.GAP_TOL
+
+    def test_lp_feasibility_and_complementarity(self, solved):
+        inst, plan, day, _ = solved
+        lp = build_ed(inst.net, day, plan, inst.tech)
+        assert lp.rows["chcap"].size == day.n_hours
+        sol = lp_core.solve(lp)
+        assert lp_core.max_constraint_violation(sol, lp) <= lp_core.FEAS_TOL
+        assert lp_core.max_complementarity_violation(sol, lp) \
+            <= lp_core.COMP_TOL
 
     def test_power_balance_residual(self, solved):
         inst, plan, day, sol = solved
@@ -229,3 +238,49 @@ class TestExports:
         assert "b1 e_soc" in dtab
         ptab = export_price_table(sol)
         assert ptab.splitlines()[1].startswith("d1 1 b1 10.000000")
+
+
+# Values recorded on random_instance(3) with 2 MW / 4 MWh at every
+# candidate.  They pin the dispatch LP that HiGHS sees: any change to its
+# columns, rows, coefficients or their order shows up here.
+GOLDEN_DAY = {
+    "d1": (7849.504665160872, 5944.248235285134, 22.08052717745759,
+           15.82339288809126, 0.0, -84.8015982289996, 195.692262927888),
+}
+GOLDEN_SUBGRAD_PLAN = (9.286001824359058, -61.8507709804556)
+GOLDEN_SUBGRAD_ZERO = (-270.49429463824885, -270.49429463824885)
+
+
+def _golden(value):
+    return pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+class TestGolden:
+    @pytest.fixture(scope="class")
+    def inst(self, rand_instance):
+        return rand_instance(3)
+
+    @pytest.fixture(scope="class")
+    def plan(self, inst):
+        return Plan({b: (2.0, 4.0) for b in inst.net.candidate_buses})
+
+    def test_day_costs_and_dual_sums(self, inst, plan):
+        assert [d.day_id for d in inst.days] == list(GOLDEN_DAY)
+        for day in inst.days:
+            s = solve_ed(inst.net, day, plan, inst.tech)
+            got = (s.cost, s.lmp.sum(), s.lam_ru.sum(), s.lam_rd.sum(),
+                   (s.phi_ch + s.phi_dis).sum(), s.phi_soc.sum(),
+                   s.psi_soc.sum())
+            assert got == _golden(GOLDEN_DAY[day.day_id])
+
+    @pytest.mark.parametrize("at_plan", [True, False])
+    def test_subgradients(self, inst, plan, at_plan):
+        at = plan if at_plan else Plan()
+        sols = {d.day_id: solve_ed(inst.net, d, at, inst.tech)
+                for d in inst.days}
+        grads, branch = compute_subgradients(inst.net, inst.days, sols, at,
+                                             inst.tech)
+        expect = GOLDEN_SUBGRAD_PLAN if at_plan else GOLDEN_SUBGRAD_ZERO
+        for b in inst.net.candidate_buses:
+            assert grads[b] == _golden(expect)
+            assert branch[b] == ("BE" if at_plan else "BN")
