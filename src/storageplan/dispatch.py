@@ -286,9 +286,11 @@ def _first_infeasible_hour(net: Network, day: TypicalDay, plan: Plan,
 
 
 def solve_ed(net: Network, day: TypicalDay, plan: Plan,
-             tech: StorageTech) -> DispatchSolution:
+             tech: StorageTech, starts: dict | None = None
+             ) -> DispatchSolution:
+    """Dispatch one day; ``starts`` is passed on to :func:`lp_core.solve`."""
     lp = build_ed(net, day, plan, tech)
-    sol = lp_core.solve(lp)
+    sol = lp_core.solve(lp, starts)
     if sol.status != "optimal":
         raise DispatchInfeasibleError(day.day_id,
                                       _first_infeasible_hour(net, day, plan, tech))

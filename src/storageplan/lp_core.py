@@ -4,9 +4,11 @@ This is the single numerical engine behind dispatch, the marginal-unit
 subproblem, the master problem and the monolithic baseline.  Large LPs
 are assembled block by block with numpy by :class:`LPBuilder`; small
 ones may be written row by row with the named :class:`LinearProgram`,
-which compiles to the same :class:`ArrayLP`.  Solving is delegated to
-HiGHS through :func:`scipy.optimize.linprog`; the wrapper fixes the dual
-sign convention used throughout the package:
+which compiles to the same :class:`ArrayLP`.  Solving runs HiGHS
+directly through the bindings bundled with scipy (:func:`linprog`),
+with the model and options that :func:`scipy.optimize.linprog` would
+hand it.  The wrapper fixes the dual sign convention used throughout
+the package:
 
 * the dual of a row is d(objective)/d(rhs) of the row *as written*, so
   under minimization ``<=`` rows have nonpositive duals, ``>=`` rows
@@ -14,8 +16,12 @@ sign convention used throughout the package:
 * reduced costs follow the same convention for variable bounds
   (nonnegative at a lower bound, nonpositive at an upper bound).
 
-HiGHS is deterministic for identical input, so repeated solves return
-bit-identical solutions.
+A solve may start from the optimal basis of an earlier solve of an LP
+with the same name and shape (see :func:`solve`).  The start changes
+only the simplex path, never the model, so the optimum is the same up
+to the choice among degenerate optimal vertices.  HiGHS is
+deterministic for identical input and start basis, so repeated solves
+return bit-identical solutions.
 """
 
 from __future__ import annotations
@@ -24,8 +30,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_array, csr_matrix, vstack
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+    from scipy.optimize._highspy._core import _Highs
+except ImportError as exc:  # pragma: no cover
+    raise ImportError(
+        "storageplan needs scipy >= 1.15: it runs HiGHS through "
+        "scipy.optimize._highspy._core._Highs") from exc
 
 LE, GE, EQ = "<=", ">=", "="
 # row sense codes of an ArrayLP: the sign that turns the row into "<="
@@ -36,10 +49,22 @@ FEAS_TOL = 1e-7
 GAP_TOL = 1e-8
 COMP_TOL = 1e-6
 
+# in the vocabulary of scipy.optimize.linprog(method="highs")
 _HIGHS_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
+}
+# what scipy sets on HiGHS for those options
+_RUN_OPTIONS = {
+    "presolve": "on",
+    "output_flag": False,
+    "log_to_console": False,
+    "simplex_strategy":
+        int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    "primal_feasibility_tolerance":
+        _HIGHS_OPTIONS["primal_feasibility_tolerance"],
+    "dual_feasibility_tolerance": _HIGHS_OPTIONS["dual_feasibility_tolerance"],
 }
 
 
@@ -264,14 +289,110 @@ class LPSolution:
         return float(self.duals[self._row_index[name]])
 
 
+_MS = _highs.HighsModelStatus
+# HiGHS model status -> scipy.optimize.linprog status code (no time or
+# iteration limit is set, so scipy's code 1 cannot occur)
+_SCIPY_STATUS = {_MS.kOptimal: 0, _MS.kInfeasible: 2, _MS.kModelError: 2,
+                 _MS.kUnbounded: 3}
 _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def solve(lp: ArrayLP | LinearProgram) -> LPSolution:
+@dataclass
+class HighsResult:
+    """One HiGHS run, in the terms of :func:`scipy.optimize.linprog`.
+
+    ``status`` is scipy's code (0 optimal, 2 infeasible, 3 unbounded,
+    4 other).  The solution fields are set
+    only when optimal; ``ineq_duals``/``eq_duals`` are the row duals of
+    ``A_ub``/``A_eq`` and ``basis`` is the final ``HighsBasis``.
+    """
+
+    status: int
+    message: str
+    nit: int
+    fun: float = math.nan
+    x: np.ndarray | None = None
+    ineq_duals: np.ndarray | None = None
+    eq_duals: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
+    basis: object = None
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
+            basis=None) -> HighsResult:
+    """min ``c @ x`` s.t. ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq`` and
+    ``bounds[:, 0] <= x <= bounds[:, 1]``, solved by HiGHS.
+
+    HiGHS gets the model :func:`scipy.optimize.linprog` would build
+    (``A_ub`` rows, then ``A_eq`` rows, column-wise, with the options
+    of :data:`_HIGHS_OPTIONS`), so a cold solve returns what scipy
+    returns.  The model goes in through the array form of
+    ``passModel``, with every column marked continuous: the attribute
+    setters of ``HighsLp`` that scipy uses copy arrays element by
+    element.  With ``basis`` (the ``basis`` of an optimal result for an
+    LP of the same shape) the dual simplex starts from it and skips
+    presolve; a basis HiGHS rejects leaves the solve cold.
+    """
+    n = c.size
+    mats = [m for m in (A_ub, A_eq) if m is not None]
+    A = csc_array(vstack(mats)) if mats else csc_array((0, n))
+    b_ub = np.empty(0) if b_ub is None else b_ub
+    b_eq = np.empty(0) if b_eq is None else b_eq
+    inf = _highs.kHighsInf
+    lb, ub = np.clip(bounds, -inf, inf).T.copy()
+    row_lower = np.concatenate((np.full(b_ub.size, -inf), b_eq))
+    row_upper = np.clip(np.concatenate((b_ub, b_eq)), -inf, inf)
+
+    highs = _Highs()
+    for key, val in _RUN_OPTIONS.items():
+        highs.setOptionValue(key, val)
+    if highs.passModel(
+            n, row_upper.size, A.nnz, int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lower,
+            row_upper, A.indptr, A.indices, A.data,
+            np.zeros(n, dtype=np.int32)) == _highs.HighsStatus.kError:
+        return HighsResult(_SCIPY_STATUS[_MS.kModelError],
+                           highs.modelStatusToString(_MS.kModelError), 0)
+    if basis is not None:
+        highs.setBasis(basis)
+    highs.run()
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    status = _SCIPY_STATUS.get(model_status, 4)
+    message = highs.modelStatusToString(model_status)
+    if model_status != _MS.kOptimal:
+        return HighsResult(status, message, info.simplex_iteration_count)
+
+    sol = highs.getSolution()
+    row_dual = np.array(sol.row_dual)
+    # scipy reports a column dual only at a lower or upper bound: not for
+    # basic columns, nor for nonbasic free columns (status kZero)
+    basis_status, basic = highs.getBasicVariables()
+    if basis_status != _highs.HighsStatus.kOk:
+        return HighsResult(4, f"{message}, but no basis",
+                           info.simplex_iteration_count)
+    at_bound = np.isfinite(lb) | np.isfinite(ub)
+    at_bound[basic[basic >= 0]] = False
+    return HighsResult(
+        status, message, info.simplex_iteration_count,
+        fun=info.objective_function_value,
+        x=np.array(sol.col_value),
+        ineq_duals=row_dual[:b_ub.size],
+        eq_duals=row_dual[b_ub.size:],
+        reduced_costs=np.where(at_bound, np.array(sol.col_dual), 0.0),
+        basis=highs.getBasis())
+
+
+def solve(lp: ArrayLP | LinearProgram,
+          starts: dict | None = None) -> LPSolution:
     """Solve to optimality, returning primal values, row duals and reduced costs.
 
     HiGHS receives the ``<=``/``>=`` rows, in model order and negated for
     ``>=``, as ``A_ub`` and the equality rows as ``A_eq``.
+
+    ``starts`` maps ``(lp.name, n_vars, n_rows)`` to the last optimal
+    basis of an LP of that name and shape.  A hit warm-starts this
+    solve, and an optimal solve stores its basis there.
     """
     a = _arrays(lp)
     if a.n_vars == 0:
@@ -288,9 +409,11 @@ def solve(lp: ArrayLP | LinearProgram) -> LPSolution:
     if eq_rows.size:
         kwargs["A_eq"] = a.A[eq_rows]
         kwargs["b_eq"] = a.rhs[eq_rows]
+    key = (a.name, a.n_vars, a.n_rows)
+    if starts is not None:
+        kwargs["basis"] = starts.get(key)
 
-    res = linprog(a.c, bounds=np.column_stack((a.lb, a.ub)), method="highs",
-                  options=_HIGHS_OPTIONS, **kwargs)
+    res = linprog(a.c, bounds=np.column_stack((a.lb, a.ub)), **kwargs)
     status = _STATUS.get(res.status)
     if status is None:
         raise LPError(f"solver failure on {a.name}: {res.message}")
@@ -299,19 +422,18 @@ def solve(lp: ArrayLP | LinearProgram) -> LPSolution:
         names = {"_var_index": lp._var_index, "_row_index": lp._row_index}
     if status != "optimal":
         return LPSolution(status=status, **names)
+    if starts is not None:
+        starts[key] = res.basis
 
     duals = np.zeros(a.n_rows)
-    if ub_rows.size:
-        duals[ub_rows] = sign * res.ineqlin.marginals
-    if eq_rows.size:
-        duals[eq_rows] = res.eqlin.marginals
+    duals[ub_rows] = sign * res.ineq_duals
+    duals[eq_rows] = res.eq_duals
     return LPSolution(
         status="optimal",
         objective=float(res.fun),
-        x=np.asarray(res.x, dtype=float),
+        x=res.x,
         duals=duals,
-        reduced_costs=np.asarray(res.lower.marginals)
-        + np.asarray(res.upper.marginals),
+        reduced_costs=res.reduced_costs,
         **names,
     )
 

@@ -65,9 +65,12 @@ class PlanResult:
 
 
 def dispatch_all(net: Network, days: list[TypicalDay], plan: Plan,
-                 tech: StorageTech, workers: int = 1
-                 ) -> dict[str, DispatchSolution]:
-    """Solve every typical day; results keyed and reduced in day order."""
+                 tech: StorageTech, workers: int = 1,
+                 starts: dict | None = None) -> dict[str, DispatchSolution]:
+    """Solve every typical day; results keyed and reduced in day order.
+
+    ``starts`` warm-starts each day's LP; days have distinct LP names, so
+    worker threads never share an entry."""
     if workers > 1:
         ctx = ThreadPoolExecutor(max_workers=workers)
     else:
@@ -75,9 +78,11 @@ def dispatch_all(net: Network, days: list[TypicalDay], plan: Plan,
     with ctx as pool:
         if workers > 1:
             sols = list(pool.map(
-                lambda day: solve_ed(net, day, plan, tech), days))
+                lambda day: solve_ed(net, day, plan, tech, starts=starts),
+                days))
         else:
-            sols = [solve_ed(net, day, plan, tech) for day in days]
+            sols = [solve_ed(net, day, plan, tech, starts=starts)
+                    for day in days]
     return {day.day_id: sol for day, sol in zip(days, sols)}
 
 
@@ -149,11 +154,12 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
     zero = Plan()
     sols_cache: dict[int, dict[str, DispatchSolution]] = {}
     if not state.cuts or math.isnan(state.baseline_cost):
-        sols0 = timed("dispatch", dispatch_all, net, days, zero, tech, workers)
+        sols0 = timed("dispatch", dispatch_all, net, days, zero, tech, workers,
+                      state.starts)
         cs0 = _weighted_cost(days, sols0, zero, tech)
         state.baseline_cost = cs0
         grads, branch = timed("subgradient", compute_subgradients,
-                              net, days, sols0, zero, tech)
+                              net, days, sols0, zero, tech, state.starts)
         state.add_cut(assemble_cut(net, zero, cs0, grads, branch, 0))
         sols_cache[id(zero)] = sols0
     state.record_sample(zero, state.baseline_cost)
@@ -167,13 +173,14 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         if convergence_check(state, epsilon):
             converged = True
             break
-        sols = timed("dispatch", dispatch_all, net, days, ytilde, tech, workers)
+        sols = timed("dispatch", dispatch_all, net, days, ytilde, tech,
+                     workers, state.starts)
         cs = _weighted_cost(days, sols, ytilde, tech)
         if cs < state.best_cost:
             best_sols = sols
         state.record_sample(ytilde, cs)
         grads, branch = timed("subgradient", compute_subgradients,
-                              net, days, sols, ytilde, tech)
+                              net, days, sols, ytilde, tech, state.starts)
         state.add_cut(assemble_cut(net, ytilde, cs, grads, branch, nu))
         trace.append(IterationRecord(nu, lb, cs, state.best_cost,
                                      len(ytilde.installed_buses())))
@@ -183,7 +190,8 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
 
     plan = state.best_plan
     if best_sols is None:
-        best_sols = timed("dispatch", dispatch_all, net, days, plan, tech, workers)
+        best_sols = timed("dispatch", dispatch_all, net, days, plan, tech,
+                          workers, state.starts)
     ce = plan.investment_cost(tech)
     cr = total_revenue(days, best_sols, tech)
     gap = state.best_cost - state.lower_bound

@@ -95,10 +95,13 @@ def build_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
 
 
 def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
-               tech: StorageTech, bus: str) -> tuple[float, float]:
-    """Return (g0, rho0): marginal-unit net daily cost and its P/E ratio."""
+               tech: StorageTech, bus: str, starts: dict | None = None
+               ) -> tuple[float, float]:
+    """Return (g0, rho0): marginal-unit net daily cost and its P/E ratio.
+
+    ``starts`` is passed on to :func:`lp_core.solve`."""
     lp = build_sgsp(days, prices, tech, bus)
-    sol = lp_core.solve(lp)
+    sol = lp_core.solve(lp, starts)
     if sol.status != "optimal":
         raise RuntimeError(f"marginal-unit LP {sol.status} at bus {bus}")
     return sol.objective + tech.c_e, float(sol.x[lp.cols["rho"]])
@@ -111,16 +114,18 @@ def split_subgradient(g0: float, rho0: float) -> tuple[float, float]:
 
 def compute_subgradients(net: Network, days: list[TypicalDay],
                          sols: dict[str, DispatchSolution], plan: Plan,
-                         tech: StorageTech
+                         tech: StorageTech, starts: dict | None = None
                          ) -> tuple[dict[str, tuple[float, float]],
                                     dict[str, str]]:
-    """Subgradient pair and branch tag for every candidate bus."""
+    """Subgradient pair and branch tag for every candidate bus; ``starts``
+    warm-starts the marginal-unit LPs."""
     weights = {day.day_id: day.weight for day in days}
     grads = subgrad_installed(sols, weights, tech, plan)
     branch = {b: "BE" for b in grads}
     for b in net.candidate_buses:
         if b not in grads:
-            grads[b] = split_subgradient(*solve_sgsp(days, sols, tech, b))
+            grads[b] = split_subgradient(
+                *solve_sgsp(days, sols, tech, b, starts))
             branch[b] = "BN"
     return grads, branch
 

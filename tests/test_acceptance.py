@@ -257,9 +257,9 @@ def test_criterion_8_solve_counts(monkeypatch):
     real_solve = lp_core.solve
     callers = []
 
-    def counting_solve(lp):
+    def counting_solve(*args, **kwargs):
         callers.append(sys._getframe(1).f_globals["__name__"])
-        return real_solve(lp)
+        return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(lp_core, "solve", counting_solve)
     counts = []

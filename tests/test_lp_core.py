@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from storageplan import lp_core
+from storageplan import instances, lp_core, master, oracle, planner
+from storageplan.dispatch import build_ed, solve_ed
 from storageplan.lp_core import EQ, GE, LE, LinearProgram, LPError
+from storageplan.model import Plan
+from storageplan.subgradient import (assemble_cut, build_sgsp,
+                                     compute_subgradients)
 
 
 def small_lp():
@@ -193,3 +198,127 @@ class TestLPFormat:
         assert "cover:" in text
         assert ">= 4" in text
         assert "Bounds" in text
+
+
+# -- HiGHS run directly, and warm starts ------------------------------------
+
+@pytest.fixture(scope="module")
+def planning_lps():
+    """A dispatch LP with storage, a marginal-unit LP, a master LP and a
+    2-day oracle LP of random_instance(1, n_buses=10, n_days=2)."""
+    inst = instances.random_instance(1, n_buses=10, n_days=2)
+    net, days, tech = inst.net, inst.days, inst.tech
+    plan = Plan({b: (2.0, 4.0) for b in net.candidate_buses[:2]})
+    sols = {d.day_id: solve_ed(net, d, plan, tech) for d in days}
+    cost = sum(d.weight * sols[d.day_id].cost for d in days)
+    grads, branch = compute_subgradients(net, days, sols, plan, tech)
+    state = master.MasterState(list(net.candidate_buses), tech, inst.budget)
+    state.add_cut(assemble_cut(net, plan, cost, grads, branch, 0))
+    return {
+        "dispatch": build_ed(net, days[0], plan, tech),
+        "sgsp": build_sgsp(days, sols, tech, net.candidate_buses[-1]),
+        "master": master._build_master(state),
+        "oracle": oracle.build_monolithic(net, days, tech, inst.budget),
+    }
+
+
+def _linprog_call(lp, monkeypatch):
+    """The arguments ``lp_core.solve`` hands ``lp_core.linprog`` for ``lp``."""
+    calls = []
+    real = lp_core.linprog
+
+    def recording(c, **kwargs):
+        calls.append((c, kwargs))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(lp_core, "linprog", recording)
+    lp_core.solve(lp)
+    monkeypatch.undo()
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master", "oracle"])
+def test_cold_run_equals_scipy_linprog(planning_lps, kind, monkeypatch):
+    """Pins the private HiGHS bindings: a cold run returns exactly what
+    scipy.optimize.linprog returns for the same arrays."""
+    c, kwargs = _linprog_call(planning_lps[kind], monkeypatch)
+    ours = lp_core.linprog(c, **kwargs)
+    ref = scipy.optimize.linprog(c, method="highs",
+                                 options=lp_core._HIGHS_OPTIONS, **kwargs)
+    assert ours.status == ref.status == 0
+    assert ours.nit == ref.nit > 0
+    assert ours.fun == ref.fun
+    assert np.array_equal(ours.x, ref.x)
+    assert np.array_equal(ours.ineq_duals, ref.ineqlin.marginals)
+    assert np.array_equal(ours.eq_duals, ref.eqlin.marginals)
+    assert np.array_equal(ours.reduced_costs,
+                          ref.lower.marginals + ref.upper.marginals)
+
+
+@pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master"])
+def test_restart_from_own_basis_takes_no_iterations(planning_lps, kind,
+                                                    monkeypatch):
+    c, kwargs = _linprog_call(planning_lps[kind], monkeypatch)
+    cold = lp_core.linprog(c, **kwargs)
+    warm = lp_core.linprog(c, basis=cold.basis, **kwargs)
+    assert warm.status == 0
+    assert warm.nit == 0
+    assert warm.fun == pytest.approx(cold.fun, rel=1e-12)
+
+
+def test_start_from_another_model_of_the_same_shape():
+    """A stale basis only changes the path: the warm solve of one LP
+    from the basis of a different LP of the same name and shape still
+    reaches the LP's own cold optimum."""
+    inst = instances.random_instance(1, n_buses=10, n_days=1)
+    net, (day,), tech = inst.net, inst.days, inst.tech
+    buses = net.candidate_buses[:2]
+    small = build_ed(net, day, Plan({b: (1.0, 2.0) for b in buses}), tech)
+    large = build_ed(net, day, Plan({b: (6.0, 9.0) for b in buses}), tech)
+    key = (large.name, large.n_vars, large.n_rows)
+    assert key == (small.name, small.n_vars, small.n_rows)
+    starts = {}
+    lp_core.solve(small, starts)
+    stale = starts[key]
+    warm = lp_core.solve(large, starts)
+    assert starts[key] is not stale
+    cold = lp_core.solve(large)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.objective != pytest.approx(
+        lp_core.solve(small).objective, rel=1e-6)
+
+
+def test_warm_starts_in_inner_loop_match_cold_solves(monkeypatch):
+    """Deterministic companion of the warm-start speedup: every dispatch
+    and marginal-unit LP that the inner loop warm-starts has its cold
+    optimum, and the warm solves take fewer simplex iterations."""
+    inst = instances.random_instance(1, n_buses=10, n_days=5)
+    real_solve, real_linprog = lp_core.solve, lp_core.linprog
+    nits = []
+    warm = {"ed": 0, "sgsp": 0}
+    iters = {"warm": 0, "cold": 0}
+
+    def counting_linprog(*args, **kwargs):
+        res = real_linprog(*args, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    def checking_solve(lp, starts=None):
+        if starts is None or (lp.name, lp.n_vars, lp.n_rows) not in starts:
+            return real_solve(lp, starts)
+        sol = real_solve(lp, starts)
+        iters["warm"] += nits[-1]
+        cold = real_solve(lp)
+        iters["cold"] += nits[-1]
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+        warm[lp.name.split("[")[0]] += 1
+        return sol
+
+    monkeypatch.setattr(lp_core, "linprog", counting_linprog)
+    monkeypatch.setattr(lp_core, "solve", checking_solve)
+    res = planner.inner_loop(inst.net, inst.days, inst.tech, inst.budget,
+                             epsilon=0.05)
+    assert res.converged
+    assert warm["ed"] > 0 and warm["sgsp"] > 0
+    assert iters["warm"] < iters["cold"]

@@ -1,10 +1,13 @@
+import sys
+
+import numpy as np
 import pytest
 
 from storageplan import oracle
 from storageplan.model import Plan
-from storageplan.planner import (default_budget_min, evaluate_plan,
-                                 format_report, format_trace, inner_loop,
-                                 outer_loop)
+from storageplan.planner import (default_budget_min, dispatch_all,
+                                 evaluate_plan, format_report, format_trace,
+                                 inner_loop, outer_loop)
 
 
 class TestEvaluatePlan:
@@ -70,6 +73,30 @@ class TestInnerLoop:
         assert a.system_cost == pytest.approx(b.system_cost, rel=1e-12)
         assert a.plan.ratings == b.plan.ratings
 
+    def test_threads_share_warm_starts_safely(self, rand_instance):
+        """Worker threads write their days' bases into one store; with
+        more threads than cores and frequent switches no entry is lost
+        and the results equal the serial ones bit for bit."""
+        inst = rand_instance(1, n_buses=10, n_days=5)
+        plan = Plan({b: (2.0, 4.0) for b in inst.net.candidate_buses})
+        serial, threaded = {}, {}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                a = dispatch_all(inst.net, inst.days, plan, inst.tech, 1,
+                                 serial)
+                b = dispatch_all(inst.net, inst.days, plan, inst.tech, 4,
+                                 threaded)
+        finally:
+            sys.setswitchinterval(old)
+        assert serial.keys() == threaded.keys()
+        assert {k[0] for k in threaded} == {f"ed[{d.day_id}]"
+                                           for d in inst.days}
+        for d in inst.days:
+            assert a[d.day_id].cost == b[d.day_id].cost
+            assert np.array_equal(a[d.day_id].lmp, b[d.day_id].lmp)
+
     def test_cost_dominates_oracle_within_tolerance(self, rand_instance):
         inst = rand_instance(1)
         res = inner_loop(inst.net, inst.days, inst.tech, inst.budget,
@@ -111,6 +138,19 @@ class TestOuterLoop:
                              max_outer=200)
             ces.append(res.investment_cost)
         assert all(a >= b - 1e-6 for a, b in zip(ces, ces[1:]))
+
+    def test_deterministic_across_rounds(self, rand_instance):
+        """Warm starts carry over from round to round within one call but
+        never between calls, so repeated calls agree bit for bit."""
+        inst = rand_instance(2, n_buses=8, n_days=2)
+        a, b = (outer_loop(inst.net, inst.days, inst.tech, chi=5.0,
+                           budget_init=inst.budget) for _ in range(2))
+        assert len(a.outer_trace) > 1
+        assert a.plan.ratings == b.plan.ratings
+        assert (a.system_cost, a.baseline_cost, a.revenue, a.lower_bound) \
+            == (b.system_cost, b.baseline_cost, b.revenue, b.lower_bound)
+        assert a.outer_trace == b.outer_trace
+        assert a.iterations == b.iterations
 
     def test_chi_below_one_clamped(self, m2):
         with pytest.warns(UserWarning, match="clamping"):
