@@ -1,14 +1,13 @@
 """Linear programs in array form, solved by HiGHS with fixed dual signs.
 
 This is the single numerical engine behind dispatch, the marginal-unit
-subproblem, the master problem and the monolithic baseline.  Large LPs
-are assembled block by block with numpy by :class:`LPBuilder`; small
-ones may be written row by row with the named :class:`LinearProgram`,
-which compiles to the same :class:`ArrayLP`.  Solving runs HiGHS
-directly through the bindings bundled with scipy (:func:`linprog`),
-with the model and options that :func:`scipy.optimize.linprog` would
-hand it.  The wrapper fixes the dual sign convention used throughout
-the package:
+subproblem, the master problem and the monolithic baseline.  Every LP
+is assembled block by block with numpy by :class:`LPBuilder` into an
+:class:`ArrayLP`, whose named index grids read solutions back by
+slicing.  Solving runs HiGHS directly through the bindings bundled with
+scipy (:func:`linprog`), with the model and options that
+:func:`scipy.optimize.linprog` would hand it.  The wrapper fixes the
+dual sign convention used throughout the package:
 
 * the dual of a row is d(objective)/d(rhs) of the row *as written*, so
   under minimization ``<=`` rows have nonpositive duals, ``>=`` rows
@@ -159,7 +158,9 @@ class LPBuilder:
         self._terms.append((i.ravel(), j.ravel(), v.ravel()))
 
     def build(self) -> ArrayLP:
-        i, j, v = (np.concatenate(a) for a in zip(*self._terms))
+        terms = self._terms or [(np.empty(0, int), np.empty(0, int),
+                                 np.empty(0))]
+        i, j, v = (np.concatenate(a) for a in zip(*terms))
         keep = v != 0.0
         A = csr_matrix((v[keep], (i[keep], j[keep])),
                        shape=(self.rhs.size, self.c.size))
@@ -168,125 +169,14 @@ class LPBuilder:
 
 
 @dataclass
-class _Row:
-    name: str
-    coeffs: list[tuple[int, float]]
-    relation: str
-    rhs: float
-
-
-class LinearProgram:
-    """A small minimization LP with named variables and named rows."""
-
-    def __init__(self, name: str = "lp"):
-        self.name = name
-        self.var_names: list[str] = []
-        self._var_index: dict[str, int] = {}
-        self.lb: list[float] = []
-        self.ub: list[float] = []
-        self.cost: list[float] = []
-        self.rows: list[_Row] = []
-        self._row_index: dict[str, int] = {}
-
-    def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf,
-                cost: float = 0.0) -> int:
-        if name in self._var_index:
-            raise LPError(f"duplicate variable {name}")
-        if lb > ub:
-            raise LPError(f"variable {name}: lb {lb} exceeds ub {ub}")
-        idx = len(self.var_names)
-        self.var_names.append(name)
-        self._var_index[name] = idx
-        self.lb.append(lb)
-        self.ub.append(ub)
-        self.cost.append(cost)
-        return idx
-
-    def add_row(self, name: str, coeffs: list[tuple[str, float]], relation: str,
-                rhs: float):
-        if name in self._row_index:
-            raise LPError(f"duplicate row {name}")
-        if relation not in (LE, GE, EQ):
-            raise LPError(f"row {name}: bad relation {relation!r}")
-        resolved = []
-        for var_name, coef in coeffs:
-            if var_name not in self._var_index:
-                raise LPError(f"row {name}: unknown variable {var_name}")
-            if coef != 0.0:
-                resolved.append((self._var_index[var_name], float(coef)))
-        self._row_index[name] = len(self.rows)
-        self.rows.append(_Row(name, resolved, relation, float(rhs)))
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.var_names)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def nnz(self) -> int:
-        return sum(len(r.coeffs) for r in self.rows)
-
-    def to_arrays(self) -> ArrayLP:
-        i = [k for k, row in enumerate(self.rows) for _ in row.coeffs]
-        j = [col for row in self.rows for col, _ in row.coeffs]
-        v = [coef for row in self.rows for _, coef in row.coeffs]
-        A = csr_matrix((v, (i, j)), shape=(self.n_rows, self.n_vars))
-        return ArrayLP(
-            self.name, np.asarray(self.cost, dtype=float),
-            np.asarray(self.lb, dtype=float), np.asarray(self.ub, dtype=float),
-            A, np.array([SENSE[r.relation] for r in self.rows], dtype=np.int8),
-            np.array([r.rhs for r in self.rows], dtype=float))
-
-    def write_lp_format(self, path):
-        """Dump in CPLEX LP text format for external cross-checking."""
-        def term(coef, name):
-            sign = "+" if coef >= 0 else "-"
-            return f" {sign} {abs(coef):.17g} {name}"
-
-        with open(path, "w") as fh:
-            fh.write(f"\\ {self.name}\nMinimize\n obj:")
-            fh.write("".join(term(c, n) for n, c in zip(self.var_names, self.cost)
-                             if c != 0.0) or " 0 " + self.var_names[0])
-            fh.write("\nSubject To\n")
-            rel = {LE: "<=", GE: ">=", EQ: "="}
-            for row in self.rows:
-                body = "".join(term(c, self.var_names[j]) for j, c in row.coeffs)
-                fh.write(f" {row.name}:{body} {rel[row.relation]} {row.rhs:.17g}\n")
-            fh.write("Bounds\n")
-            for name, lo, hi in zip(self.var_names, self.lb, self.ub):
-                lo_s = f"{lo:.17g}" if math.isfinite(lo) else "-inf"
-                hi_s = f"{hi:.17g}" if math.isfinite(hi) else "+inf"
-                fh.write(f" {lo_s} <= {name} <= {hi_s}\n")
-            fh.write("End\n")
-
-
-def _arrays(lp: ArrayLP | LinearProgram) -> ArrayLP:
-    return lp.to_arrays() if isinstance(lp, LinearProgram) else lp
-
-
-@dataclass
 class LPSolution:
-    """Primal values, row duals and reduced costs in model order.
-
-    Solutions of a :class:`LinearProgram` also answer lookups by name;
-    the name maps are the program's own, shared rather than copied.
-    """
+    """Primal values, row duals and reduced costs in model order."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float = math.nan
     x: np.ndarray = field(default_factory=lambda: np.empty(0))
     duals: np.ndarray = field(default_factory=lambda: np.empty(0))
     reduced_costs: np.ndarray = field(default_factory=lambda: np.empty(0))
-    _var_index: dict[str, int] = field(default_factory=dict, repr=False)
-    _row_index: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def value(self, name: str) -> float:
-        return float(self.x[self._var_index[name]])
-
-    def dual(self, name: str) -> float:
-        return float(self.duals[self._row_index[name]])
 
 
 _MS = _highs.HighsModelStatus
@@ -383,8 +273,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
         basis=highs.getBasis())
 
 
-def solve(lp: ArrayLP | LinearProgram,
-          starts: dict | None = None) -> LPSolution:
+def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     """Solve to optimality, returning primal values, row duals and reduced costs.
 
     HiGHS receives the ``<=``/``>=`` rows, in model order and negated for
@@ -394,38 +283,34 @@ def solve(lp: ArrayLP | LinearProgram,
     basis of an LP of that name and shape.  A hit warm-starts this
     solve, and an optimal solve stores its basis there.
     """
-    a = _arrays(lp)
-    if a.n_vars == 0:
+    if lp.n_vars == 0:
         raise LPError("no variables")
-    ub_rows = np.flatnonzero(a.sense != 0)
-    eq_rows = np.flatnonzero(a.sense == 0)
-    sign = a.sense[ub_rows].astype(float)
+    ub_rows = np.flatnonzero(lp.sense != 0)
+    eq_rows = np.flatnonzero(lp.sense == 0)
+    sign = lp.sense[ub_rows].astype(float)
     kwargs = {}
     if ub_rows.size:
-        A_ub = a.A[ub_rows]
+        A_ub = lp.A[ub_rows]
         A_ub.data = A_ub.data * np.repeat(sign, np.diff(A_ub.indptr))
         kwargs["A_ub"] = A_ub
-        kwargs["b_ub"] = sign * a.rhs[ub_rows]
+        kwargs["b_ub"] = sign * lp.rhs[ub_rows]
     if eq_rows.size:
-        kwargs["A_eq"] = a.A[eq_rows]
-        kwargs["b_eq"] = a.rhs[eq_rows]
-    key = (a.name, a.n_vars, a.n_rows)
+        kwargs["A_eq"] = lp.A[eq_rows]
+        kwargs["b_eq"] = lp.rhs[eq_rows]
+    key = (lp.name, lp.n_vars, lp.n_rows)
     if starts is not None:
         kwargs["basis"] = starts.get(key)
 
-    res = linprog(a.c, bounds=np.column_stack((a.lb, a.ub)), **kwargs)
+    res = linprog(lp.c, bounds=np.column_stack((lp.lb, lp.ub)), **kwargs)
     status = _STATUS.get(res.status)
     if status is None:
-        raise LPError(f"solver failure on {a.name}: {res.message}")
-    names = {}
-    if isinstance(lp, LinearProgram):
-        names = {"_var_index": lp._var_index, "_row_index": lp._row_index}
+        raise LPError(f"solver failure on {lp.name}: {res.message}")
     if status != "optimal":
-        return LPSolution(status=status, **names)
+        return LPSolution(status=status)
     if starts is not None:
         starts[key] = res.basis
 
-    duals = np.zeros(a.n_rows)
+    duals = np.zeros(lp.n_rows)
     duals[ub_rows] = sign * res.ineq_duals
     duals[eq_rows] = res.eq_duals
     return LPSolution(
@@ -434,21 +319,19 @@ def solve(lp: ArrayLP | LinearProgram,
         x=res.x,
         duals=duals,
         reduced_costs=res.reduced_costs,
-        **names,
     )
 
 
-def dual_objective(sol: LPSolution, lp: ArrayLP | LinearProgram) -> float:
+def dual_objective(sol: LPSolution, lp: ArrayLP) -> float:
     """Dual objective from row duals, reduced costs, bounds and rhs values."""
-    a = _arrays(lp)
     z = sol.reduced_costs
-    at_lb = (z > 0) & np.isfinite(a.lb)
-    at_ub = (z < 0) & np.isfinite(a.ub)
-    return float(sol.duals @ a.rhs + z[at_lb] @ a.lb[at_lb]
-                 + z[at_ub] @ a.ub[at_ub])
+    at_lb = (z > 0) & np.isfinite(lp.lb)
+    at_ub = (z < 0) & np.isfinite(lp.ub)
+    return float(sol.duals @ lp.rhs + z[at_lb] @ lp.lb[at_lb]
+                 + z[at_ub] @ lp.ub[at_ub])
 
 
-def duality_gap(sol: LPSolution, lp: ArrayLP | LinearProgram) -> float:
+def duality_gap(sol: LPSolution, lp: ArrayLP) -> float:
     """Relative primal-dual objective mismatch of an optimal solution."""
     if sol.status != "optimal":
         raise LPError("duality_gap requires an optimal solution")
@@ -456,18 +339,14 @@ def duality_gap(sol: LPSolution, lp: ArrayLP | LinearProgram) -> float:
     return abs(sol.objective - dual) / max(1.0, abs(sol.objective))
 
 
-def max_constraint_violation(sol: LPSolution,
-                             lp: ArrayLP | LinearProgram) -> float:
-    a = _arrays(lp)
-    resid = a.A @ sol.x - a.rhs
-    rows = np.where(a.sense == 0, np.abs(resid), a.sense * resid)
-    bounds = np.maximum(a.lb - sol.x, sol.x - a.ub)
+def max_constraint_violation(sol: LPSolution, lp: ArrayLP) -> float:
+    resid = lp.A @ sol.x - lp.rhs
+    rows = np.where(lp.sense == 0, np.abs(resid), lp.sense * resid)
+    bounds = np.maximum(lp.lb - sol.x, sol.x - lp.ub)
     return float(max(0.0, rows.max(initial=0.0), bounds.max(initial=0.0)))
 
 
-def max_complementarity_violation(sol: LPSolution,
-                                  lp: ArrayLP | LinearProgram) -> float:
-    a = _arrays(lp)
-    ineq = a.sense != 0
-    slack = a.rhs[ineq] - a.A[ineq] @ sol.x
+def max_complementarity_violation(sol: LPSolution, lp: ArrayLP) -> float:
+    ineq = lp.sense != 0
+    slack = lp.rhs[ineq] - lp.A[ineq] @ sol.x
     return float(np.abs(sol.duals[ineq] * slack).max(initial=0.0))

@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import lp_core
-from .lp_core import GE, LE, LinearProgram
+from .lp_core import GE, LE, ArrayLP, LPBuilder
 from .model import INSTALLED_EPS, Plan, StorageTech
 from .subgradient import Cut
 
@@ -53,48 +55,61 @@ class MasterState:
         self.lower_bound = -math.inf
 
 
+def _cut_rhs(cut: Cut) -> float:
+    """``sampled_cost - g @ point``, accumulated bus by bus."""
+    rhs = cut.sampled_cost
+    for p0, e0, gp, ge in zip(cut.point_p, cut.point_e, cut.g_p, cut.g_e):
+        rhs -= gp * p0 + ge * e0
+    return rhs
+
+
 def _build_master(state: MasterState, z_level: float | None = None
-                  ) -> LinearProgram:
-    """The cut model.  With ``z_level`` set it becomes the tie-break LP:
+                  ) -> ArrayLP:
+    """The cut model: a free ``z`` column, then a ``[p, e]`` rating pair
+    per candidate bus.  With ``z_level`` set it becomes the tie-break LP:
     keep ``z`` within ``z_level`` and minimize total installed rating,
     with a small bias towards low bus indices."""
     tech = state.tech
-    lp = LinearProgram(name="master")
-    lp.add_var("z", lb=-math.inf, cost=1.0 if z_level is None else 0.0)
-    for idx, b in enumerate(state.candidate_buses):
-        w = 0.0 if z_level is None else 1.0 + 1e-7 * idx
-        lp.add_var(f"p[{b}]", lb=0.0, cost=w)
-        lp.add_var(f"e[{b}]", lb=0.0, cost=w)
-        lp.add_row(f"ratio_lo[{b}]",
-                   [(f"p[{b}]", 1.0), (f"e[{b}]", -tech.rho_min)], GE, 0.0)
-        lp.add_row(f"ratio_hi[{b}]",
-                   [(f"p[{b}]", 1.0), (f"e[{b}]", -tech.rho_max)], LE, 0.0)
-    capital = [(f"p[{b}]", tech.c_p) for b in state.candidate_buses]
-    capital += [(f"e[{b}]", tech.c_e) for b in state.candidate_buses]
-    if state.budget is not None:
-        lp.add_row("budget", capital, LE, state.budget)
-    # dispatch costs are nonnegative, so system cost >= investment cost
-    lp.add_row("capital_floor", [("z", 1.0)] + [(v, -c) for v, c in capital],
-               GE, 0.0)
-    for k, cut in enumerate(state.cuts):
-        coeffs = [("z", 1.0)]
-        rhs = cut.sampled_cost
-        for b, pp, pe, gp, ge in zip(cut.buses, cut.point_p, cut.point_e,
-                                     cut.g_p, cut.g_e):
-            coeffs.append((f"p[{b}]", -gp))
-            coeffs.append((f"e[{b}]", -ge))
-            rhs -= gp * pp + ge * pe
-        lp.add_row(f"cut[{k}]", coeffs, GE, rhs)
+    n = len(state.candidate_buses)
+    lp = LPBuilder("master")
+    z = lp.cols["z"] = lp.add_cols(())
+    lp.c[z] = 1.0 if z_level is None else 0.0
+    lp.lb[z] = -math.inf
+    pe = lp.cols["pe"] = lp.add_cols((n, 2))
     if z_level is not None:
-        lp.add_row("z_level", [("z", 1.0)], LE, z_level)
-    return lp
+        lp.c[pe] = (1.0 + 1e-7 * np.arange(n))[:, None]
+    ratio = lp.rows["ratio"] = lp.add_rows((n, 2))
+    lp.set_rows(ratio[:, 0], GE, 0.0, (pe[:, 0], 1.0),
+                (pe[:, 1], -tech.rho_min))
+    lp.set_rows(ratio[:, 1], LE, 0.0, (pe[:, 0], 1.0),
+                (pe[:, 1], -tech.rho_max))
+    capital = np.array([tech.c_p, tech.c_e])
+    if state.budget is not None:
+        budget = lp.rows["budget"] = lp.add_rows(())
+        lp.set_rows(budget, LE, state.budget, (pe, capital))
+    # dispatch costs are nonnegative, so system cost >= investment cost
+    floor = lp.rows["capital_floor"] = lp.add_rows(())
+    lp.set_rows(floor, GE, 0.0, (z, 1.0), (pe, -capital))
+    # cut k: z - g_k @ [p, e] >= sampled cost - g_k @ sampled point
+    cuts = lp.rows["cut"] = lp.add_rows(len(state.cuts))
+    lp.set_rows(cuts, GE, [_cut_rhs(cut) for cut in state.cuts], (z, 1.0))
+    pos = {b: k for k, b in enumerate(state.candidate_buses)}
+    rows = np.repeat(cuts, [len(cut.buses) for cut in state.cuts])
+    buses = [pos[b] for cut in state.cuts for b in cut.buses]
+    grads = [g for cut in state.cuts for g in zip(cut.g_p, cut.g_e)]
+    lp.add_terms(rows[:, None], pe[buses], -np.reshape(grads, (-1, 2)))
+    if z_level is not None:
+        level = lp.rows["z_level"] = lp.add_rows(())
+        lp.set_rows(level, LE, z_level, (z, 1.0))
+    return lp.build()
 
 
 def solve_master(state: MasterState) -> tuple[Plan, float]:
     """Minimize the cut model; return the inquiry plan and the lower bound."""
     if not state.cuts:
         raise MasterError("master requires at least one cut")
-    sol = lp_core.solve(_build_master(state))
+    lp = _build_master(state)
+    sol = lp_core.solve(lp)
     if sol.status != "optimal":
         raise MasterError(f"master solve returned {sol.status}")
     z = sol.objective
@@ -109,9 +124,8 @@ def solve_master(state: MasterState) -> tuple[Plan, float]:
         sol = tie_sol
 
     ratings = {}
-    for b in state.candidate_buses:
-        p = max(0.0, sol.value(f"p[{b}]"))
-        e = max(0.0, sol.value(f"e[{b}]"))
+    for b, (p, e) in zip(state.candidate_buses, sol.x[lp.cols["pe"]]):
+        p, e = max(0.0, float(p)), max(0.0, float(e))
         # negligible ratings are snapped to zero so downstream dispatch
         # treats the bus as empty
         if p > INSTALLED_EPS or e > INSTALLED_EPS:

@@ -14,7 +14,6 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .dispatch import DispatchSolution, solve_ed, storage_revenue
@@ -72,17 +71,12 @@ def dispatch_all(net: Network, days: list[TypicalDay], plan: Plan,
     ``starts`` warm-starts each day's LP; days have distinct LP names, so
     worker threads never share an entry."""
     if workers > 1:
-        ctx = ThreadPoolExecutor(max_workers=workers)
-    else:
-        ctx = nullcontext()
-    with ctx as pool:
-        if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             sols = list(pool.map(
                 lambda day: solve_ed(net, day, plan, tech, starts=starts),
                 days))
-        else:
-            sols = [solve_ed(net, day, plan, tech, starts=starts)
-                    for day in days]
+    else:
+        sols = [solve_ed(net, day, plan, tech, starts=starts) for day in days]
     return {day.day_id: sol for day, sol in zip(days, sols)}
 
 
@@ -152,7 +146,7 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         state.reset_bounds()
 
     zero = Plan()
-    sols_cache: dict[int, dict[str, DispatchSolution]] = {}
+    best_sols: dict[str, DispatchSolution] | None = None
     if not state.cuts or math.isnan(state.baseline_cost):
         sols0 = timed("dispatch", dispatch_all, net, days, zero, tech, workers,
                       state.starts)
@@ -161,9 +155,8 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         grads, branch = timed("subgradient", compute_subgradients,
                               net, days, sols0, zero, tech, state.starts)
         state.add_cut(assemble_cut(net, zero, cs0, grads, branch, 0))
-        sols_cache[id(zero)] = sols0
+        best_sols = sols0
     state.record_sample(zero, state.baseline_cost)
-    best_sols: dict[str, DispatchSolution] | None = sols_cache.get(id(zero))
 
     trace: list[IterationRecord] = []
     converged = False

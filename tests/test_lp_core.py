@@ -7,56 +7,51 @@ import scipy.optimize
 
 from storageplan import instances, lp_core, master, oracle, planner
 from storageplan.dispatch import build_ed, solve_ed
-from storageplan.lp_core import EQ, GE, LE, LinearProgram, LPError
+from storageplan.lp_core import EQ, GE, LE, LPBuilder, LPError
 from storageplan.model import Plan
 from storageplan.subgradient import (assemble_cut, build_sgsp,
                                      compute_subgradients)
 
 
+X, Y = 0, 1          # columns of small_lp
+COVER, CAP = 0, 1    # rows of small_lp
+
+
 def small_lp():
     """min 2x + 3y  s.t.  x + y >= 4,  x <= 3,  x, y >= 0."""
-    lp = LinearProgram("small")
-    lp.add_var("x", lb=0.0, cost=2.0)
-    lp.add_var("y", lb=0.0, cost=3.0)
-    lp.add_row("cover", [("x", 1.0), ("y", 1.0)], GE, 4.0)
-    lp.add_row("cap", [("x", 1.0)], LE, 3.0)
-    return lp
+    lp = LPBuilder("small")
+    x, y = lp.add_cols(2)
+    lp.c[[x, y]] = 2.0, 3.0
+    cover, cap = lp.add_rows(2)
+    lp.set_rows(cover, GE, 4.0, (x, 1.0), (y, 1.0))
+    lp.set_rows(cap, LE, 3.0, (x, 1.0))
+    return lp.build()
+
+
+def one_var_lp(lb, ub, cost, row=None):
+    """min cost * x over lb <= x <= ub and an optional ``(relation, rhs)``
+    row on x alone."""
+    lp = LPBuilder("one")
+    (x,) = lp.add_cols(1)
+    lp.lb[x], lp.ub[x], lp.c[x] = lb, ub, cost
+    if row is not None:
+        relation, rhs = row
+        lp.set_rows(lp.add_rows(1), relation, rhs, (x, 1.0))
+    return lp.build()
 
 
 class TestBuilder:
-    def test_duplicate_var(self):
-        lp = LinearProgram()
-        lp.add_var("x")
-        with pytest.raises(LPError):
-            lp.add_var("x")
-
-    def test_duplicate_row(self):
-        lp = small_lp()
-        with pytest.raises(LPError):
-            lp.add_row("cover", [("x", 1.0)], LE, 1.0)
-
-    def test_unknown_var_in_row(self):
-        lp = LinearProgram()
-        lp.add_var("x")
-        with pytest.raises(LPError):
-            lp.add_row("r", [("z", 1.0)], LE, 1.0)
-
-    def test_bad_relation(self):
-        lp = LinearProgram()
-        lp.add_var("x")
-        with pytest.raises(LPError):
-            lp.add_row("r", [("x", 1.0)], "<", 1.0)
-
-    def test_bad_bounds(self):
-        lp = LinearProgram()
-        with pytest.raises(LPError):
-            lp.add_var("x", lb=2.0, ub=1.0)
-
     def test_counts(self):
         lp = small_lp()
         assert lp.n_vars == 2
         assert lp.n_rows == 2
         assert lp.nnz() == 3
+
+    def test_lp_without_coefficients(self):
+        lp = one_var_lp(-math.inf, math.inf, 1.0)
+        assert lp.A.shape == (0, 1)
+        assert lp.nnz() == 0
+        assert lp_core.solve(lp).status == "unbounded"
 
 
 class TestSolve:
@@ -64,38 +59,32 @@ class TestSolve:
         sol = lp_core.solve(small_lp())
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(9.0)  # x=3, y=1
-        assert sol.value("x") == pytest.approx(3.0)
-        assert sol.value("y") == pytest.approx(1.0)
+        assert sol.x[X] == pytest.approx(3.0)
+        assert sol.x[Y] == pytest.approx(1.0)
 
     def test_dual_signs(self):
         sol = lp_core.solve(small_lp())
         # >= row active: nonnegative dual equal to marginal cost of cover
-        assert sol.dual("cover") == pytest.approx(3.0)
+        assert sol.duals[COVER] == pytest.approx(3.0)
         # <= row active and relieving it saves money: nonpositive dual
-        assert sol.dual("cap") == pytest.approx(-1.0)
+        assert sol.duals[CAP] == pytest.approx(-1.0)
 
     def test_equality_dual(self):
-        lp = LinearProgram()
-        lp.add_var("x", lb=-math.inf, cost=5.0)
-        lp.add_row("fix", [("x", 1.0)], EQ, 2.0)
-        sol = lp_core.solve(lp)
+        sol = lp_core.solve(one_var_lp(-math.inf, math.inf, 5.0, (EQ, 2.0)))
         assert sol.objective == pytest.approx(10.0)
-        assert sol.dual("fix") == pytest.approx(5.0)
+        assert sol.duals[0] == pytest.approx(5.0)
 
     def test_infeasible(self):
-        lp = LinearProgram()
-        lp.add_var("x", lb=0.0, ub=1.0)
-        lp.add_row("r", [("x", 1.0)], GE, 2.0)
+        lp = one_var_lp(0.0, 1.0, 0.0, (GE, 2.0))
         assert lp_core.solve(lp).status == "infeasible"
 
     def test_unbounded(self):
-        lp = LinearProgram()
-        lp.add_var("x", lb=-math.inf, cost=1.0)
+        lp = one_var_lp(-math.inf, math.inf, 1.0)
         assert lp_core.solve(lp).status == "unbounded"
 
     def test_no_vars(self):
         with pytest.raises(LPError):
-            lp_core.solve(LinearProgram())
+            lp_core.solve(LPBuilder("empty").build())
 
     def test_deterministic(self):
         a = lp_core.solve(small_lp())
@@ -114,15 +103,12 @@ class TestDuality:
     def test_gap_detects_perturbed_duals(self):
         lp = small_lp()
         sol = lp_core.solve(lp)
-        k = sol._row_index["cover"]
-        sol.duals[k] += 1.25  # dual objective shifts by 1.25 * rhs = 5
+        sol.duals[COVER] += 1.25  # dual objective shifts by 1.25 * rhs = 5
         gap = lp_core.duality_gap(sol, lp)
         assert gap == pytest.approx(5.0 / max(1.0, abs(sol.objective)))
 
     def test_gap_requires_optimal(self):
-        lp = LinearProgram()
-        lp.add_var("x", lb=0.0, ub=1.0)
-        lp.add_row("r", [("x", 1.0)], GE, 2.0)
+        lp = one_var_lp(0.0, 1.0, 0.0, (GE, 2.0))
         sol = lp_core.solve(lp)
         with pytest.raises(LPError):
             lp_core.duality_gap(sol, lp)
@@ -174,30 +160,19 @@ class TestAgainstVertexEnumeration:
             b = float(rng.uniform(0.5, 5)) if rel == LE else float(
                 rng.uniform(-5, -0.5))
             rows.append((a, rel, b))
-        lp = LinearProgram("rand2d")
-        lp.add_var("x", lb=0.0, ub=10.0, cost=float(c[0]))
-        lp.add_var("y", lb=0.0, ub=10.0, cost=float(c[1]))
-        for i, (a, rel, b) in enumerate(rows):
-            lp.add_row(f"r{i}", [("x", float(a[0])), ("y", float(a[1]))],
-                       rel, b)
+        lp = LPBuilder("rand2d")
+        xy = lp.add_cols(2)
+        lp.ub[xy] = 10.0
+        lp.c[xy] = c
+        for a, rel, b in rows:
+            lp.set_rows(lp.add_rows(1), rel, b, (xy, a))
         expected = _vertex_optimum(c, rows, 10.0)
-        sol = lp_core.solve(lp)
+        sol = lp_core.solve(lp.build())
         if expected is None:
             assert sol.status == "infeasible"
         else:
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(expected, abs=1e-7)
-
-
-class TestLPFormat:
-    def test_dump_contains_structure(self, tmp_path):
-        path = tmp_path / "out.lp"
-        small_lp().write_lp_format(path)
-        text = path.read_text()
-        assert "Minimize" in text
-        assert "cover:" in text
-        assert ">= 4" in text
-        assert "Bounds" in text
 
 
 # -- HiGHS run directly, and warm starts ------------------------------------

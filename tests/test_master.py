@@ -104,6 +104,31 @@ class TestDeterminism:
         assert total == pytest.approx(105.0, rel=1e-4)
 
 
+class TestGolden:
+    def test_three_buses_three_cuts_with_budget(self):
+        """Ratings and bound pinned bit for bit: any change to how the
+        master LP is assembled must hand HiGHS the same model."""
+        buses = ("b1", "b2", "b3")
+        tech = simple_tech(c_p=2.0, c_e=0.5, rho_min=0.25, rho_max=2.0)
+        state = MasterState(candidate_buses=list(buses), tech=tech,
+                            budget=30.0, baseline_cost=2100.0)
+        state.add_cut(make_cut(
+            0, [(0.0, 0.0)] * 3, 2100.0,
+            [(-19.0, -11.0), (-7.5, -23.0), (-3.0, -2.0)], buses=buses))
+        state.add_cut(make_cut(
+            1, [(4.0, 8.0), (1.0, 3.0), (0.0, 0.0)], 1890.0,
+            [(-6.0, -9.5), (-2.25, -14.0), (-4.0, -1.0)], buses=buses))
+        state.add_cut(make_cut(
+            2, [(2.0, 6.0), (3.0, 5.0), (1.5, 2.5)], 1905.0,
+            [(-9.0, -3.0), (4.0, 6.0), (-12.0, -4.0)], buses=buses))
+        plan, z = solve_master(state)
+        assert z == 1758.8779069767443
+        assert plan.ratings == {
+            "b1": (5.9825532537629185, 23.930213015051674),
+            "b3": (1.517499268285701, 6.069576896753845),
+        }
+
+
 class TestState:
     def test_record_sample_keeps_best(self):
         state = fresh_state()
