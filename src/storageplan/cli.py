@@ -130,7 +130,9 @@ def cmd_dispatch(args) -> int:
     plan = Plan()
     if args.plan:
         plan = datafiles.parse_plan(_load_text(args.plan), args.plan)
-    sols = planner.dispatch_all(net, days, plan, tech)
+    cfg = _load_config(args)
+    sols = planner.dispatch_all(net, days, plan, tech,
+                                workers=cfg.get("workers", 1))
     dtab = "".join(export_dispatch_table(s, net) for s in sols.values())
     ptab = "".join(export_price_table(s) for s in sols.values())
     _write(args.out_dir, "dispatch.txt", dtab)

@@ -34,6 +34,8 @@ def _num(tok: str, path, lineno) -> float:
         raise ParseError(path, lineno, f"not a number: {tok!r}") from None
     if math.isnan(val):
         raise ParseError(path, lineno, "NaN value")
+    if math.isinf(val):
+        raise ParseError(path, lineno, f"infinite value: {tok!r}")
     return val
 
 
@@ -225,7 +227,11 @@ def parse_config(text: str, path: str = "<config>") -> dict:
         toks = line.replace("=", " ").split()
         if len(toks) != 2 or toks[0] not in keys:
             raise ParseError(path, lineno, f"unknown config entry: {line!r}")
-        out[toks[0]] = keys[toks[0]](_num(toks[1], path, lineno))
+        key, val = toks[0], _num(toks[1], path, lineno)
+        if keys[key] is int and not val.is_integer():
+            raise ParseError(path, lineno, f"{key} must be an integer: "
+                                           f"{toks[1]!r}")
+        out[key] = keys[key](val)
     return out
 
 

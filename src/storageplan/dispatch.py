@@ -180,20 +180,32 @@ def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
     return cols, rows
 
 
-def build_ed(net: Network, day: TypicalDay, plan: Plan,
-             tech: StorageTech) -> lp_core.ArrayLP:
-    """The economic-dispatch LP for one typical day at a fixed plan."""
+def _installed_buses(net: Network, plan: Plan) -> list[str]:
+    """Candidate buses where ``plan`` installs storage, in candidate order."""
+    return [b for b in net.candidate_buses if plan.power(b) > INSTALLED_EPS]
+
+
+def build_ed(net: Network, day: TypicalDay, plan: Plan, tech: StorageTech,
+             units: list[str] | None = None) -> lp_core.ArrayLP:
+    """The economic-dispatch LP for one typical day at a fixed plan.
+
+    ``units`` are the buses given a storage unit, by default the
+    installed ones.  A unit at a bus without installed storage is rated
+    exactly zero.
+    """
     plan.check_ratio_bounds(tech)
     for b in plan.ratings:
         if b not in net.candidate_buses:
             raise ValueError(f"plan bus {b} is not a storage candidate")
+    if units is None:
+        units = _installed_buses(net, plan)
+    p = np.array([plan.power(b) for b in units], dtype=float)
+    e = np.array([plan.energy(b) for b in units], dtype=float)
+    on = p > INSTALLED_EPS
     lp = LPBuilder(name=f"ed[{day.day_id}]")
-    storage_buses = [b for b in net.candidate_buses
-                     if plan.power(b) > INSTALLED_EPS]
-    lp.cols, lp.rows = add_day_block(
-        lp, net, day, tech, storage_buses,
-        p_rhs=np.array([plan.power(b) for b in storage_buses]),
-        e_rhs=np.array([plan.energy(b) for b in storage_buses]))
+    lp.cols, lp.rows = add_day_block(lp, net, day, tech, units,
+                                     p_rhs=np.where(on, p, 0.0),
+                                     e_rhs=np.where(on, e, 0.0))
     return lp.build()
 
 
@@ -237,19 +249,25 @@ class DispatchSolution:
 
 
 def extract_solution(sol: lp_core.LPSolution, net: Network, day: TypicalDay,
-                     storage_buses: list[str],
-                     lp: lp_core.ArrayLP) -> DispatchSolution:
+                     storage_buses: list[str], lp: lp_core.ArrayLP,
+                     units: list[str] | None = None) -> DispatchSolution:
     """Slice the dispatch, prices and rating duals out of ``sol`` using
-    the index grids of ``lp`` (built by :func:`build_ed`)."""
+    the index grids of ``lp`` (built by :func:`build_ed`).
+
+    ``units`` are the buses of ``lp``'s storage units (by default
+    ``storage_buses``); only the units at ``storage_buses`` are read.
+    """
     x, y = sol.x, sol.duals
     cols, rows = lp.cols, lp.rows
     T, nb = day.n_hours, len(net.buses)
     bi = net.bus_index()
     store = [bi[b] for b in storage_buses]
+    units = storage_buses if units is None else units
+    read = [units.index(b) for b in storage_buses]
 
     def at_buses(values):
         out = np.zeros((T, nb))
-        out[:, store] = values
+        out[:, store] = values[:, read]
         return out
 
     return DispatchSolution(
@@ -288,15 +306,22 @@ def _first_infeasible_hour(net: Network, day: TypicalDay, plan: Plan,
 def solve_ed(net: Network, day: TypicalDay, plan: Plan,
              tech: StorageTech, starts: dict | None = None
              ) -> DispatchSolution:
-    """Dispatch one day; ``starts`` is passed on to :func:`lp_core.solve`."""
-    lp = build_ed(net, day, plan, tech)
+    """Dispatch one day; ``starts`` is passed on to :func:`lp_core.solve`.
+
+    With ``starts`` every candidate bus gets a storage unit, zero-rated
+    where nothing is installed, so the day's LP keeps one shape from
+    plan to plan and each re-solve starts from the day's last basis.
+    Without it only installed buses get a unit, because zero-rated units
+    make a cold solve slower.
+    """
+    installed = _installed_buses(net, plan)
+    units = installed if starts is None else list(net.candidate_buses)
+    lp = build_ed(net, day, plan, tech, units)
     sol = lp_core.solve(lp, starts)
     if sol.status != "optimal":
         raise DispatchInfeasibleError(day.day_id,
                                       _first_infeasible_hour(net, day, plan, tech))
-    storage_buses = [b for b in net.candidate_buses
-                     if plan.power(b) > INSTALLED_EPS]
-    return extract_solution(sol, net, day, storage_buses, lp=lp)
+    return extract_solution(sol, net, day, installed, lp, units)
 
 
 def storage_revenue(sol: DispatchSolution, tech: StorageTech,

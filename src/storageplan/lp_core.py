@@ -281,7 +281,9 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
 
     ``starts`` maps ``(lp.name, n_vars, n_rows)`` to the last optimal
     basis of an LP of that name and shape.  A hit warm-starts this
-    solve, and an optimal solve stores its basis there.
+    solve, and an optimal solve stores its basis there.  An LP whose
+    shape changed starts cold, so a caller that re-solves an LP keeps
+    its shape fixed (see :func:`storageplan.dispatch.solve_ed`).
     """
     if lp.n_vars == 0:
         raise LPError("no variables")

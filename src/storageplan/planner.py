@@ -68,8 +68,10 @@ def dispatch_all(net: Network, days: list[TypicalDay], plan: Plan,
                  starts: dict | None = None) -> dict[str, DispatchSolution]:
     """Solve every typical day; results keyed and reduced in day order.
 
-    ``starts`` warm-starts each day's LP; days have distinct LP names, so
-    worker threads never share an entry."""
+    ``starts`` warm-starts each day's LP from the day's last basis; the
+    LP then has a storage unit at every candidate bus, so its shape does
+    not change with the plan.  Days have distinct LP names, so worker
+    threads never share an entry."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             sols = list(pool.map(
@@ -130,6 +132,8 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         raise ValueError("epsilon must be in (0, 1)")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    if budget is not None and not budget >= 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     timings = {"dispatch": 0.0, "subgradient": 0.0, "master": 0.0}
 
     def timed(key, fn, *args, **kwargs):

@@ -62,6 +62,16 @@ class TestPlanCommand:
         assert run(base_args("plan", m2_files)) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_negative_budget(self, m2_files, capsys):
+        assert run(base_args("plan", m2_files, budget="-1")) == 1
+        assert "budget must be nonnegative" in capsys.readouterr().err
+
+    def test_infinite_config_value(self, m2_files, capsys):
+        config = m2_files["out"].parent / "run.cfg"
+        config.write_text("epsilon = 0.1\nmax_iter = inf\n")
+        assert run(base_args("plan", m2_files, config=config)) == 1
+        assert f"{config}:2: infinite value" in capsys.readouterr().err
+
     def test_invalid_network_rejected(self, m2_files, capsys):
         text = m2_files["network"].read_text().replace("g1 b1", "g1 b9")
         m2_files["network"].write_text(text)
@@ -104,6 +114,17 @@ class TestDispatchCommand:
             in capsys.readouterr().out
         assert (m2_files["out"] / "dispatch.txt").exists()
         assert (m2_files["out"] / "prices.txt").exists()
+
+    def test_config_is_read(self, m2_files, capsys):
+        config = m2_files["out"].parent / "run.cfg"
+        config.write_text("workers = 2\n")
+        args = base_args("dispatch", m2_files, config=config)
+        assert run(args) == 0
+        assert "weighted_operating_cost = 2100.000000" \
+            in capsys.readouterr().out
+        config.write_text("workers = 2\nverbosity = 3\n")
+        assert run(args) == 1
+        assert f"{config}:2: unknown config entry" in capsys.readouterr().err
 
 
 class TestClusterCommand:

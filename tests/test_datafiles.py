@@ -41,6 +41,13 @@ class TestNetworkRoundTrip:
         with pytest.raises(ParseError, match="NaN"):
             parse_network("[lines]\nl1 b1 b2 nan 5\n")
 
+    def test_infinite_values_rejected(self):
+        for tok in ("inf", "-inf", "1e999"):
+            with pytest.raises(ParseError, match="<network>:2: infinite"):
+                parse_network(f"[lines]\nl1 b1 b2 0.1 {tok}\n")
+        with pytest.raises(ParseError, match="<days>:3: infinite"):
+            parse_days("[day d1]\n[demand]\nb1 1 inf\n")
+
 
 class TestDaysRoundTrip:
     def test_exact(self):
@@ -103,6 +110,13 @@ class TestConfig:
         assert cfg == {"epsilon": 0.1, "chi": 1.2, "max_iter": 50,
                        "workers": 2, "seed": 7, "budget_max": 100.0}
         assert isinstance(cfg["max_iter"], int)
+
+    def test_integer_keys_reject_fractions(self):
+        assert parse_config("workers = 2.0\n") == {"workers": 2}
+        with pytest.raises(ParseError, match=":1: workers must be an integer"):
+            parse_config("workers = 2.7\n")
+        with pytest.raises(ParseError, match=":2: infinite"):
+            parse_config("epsilon = 0.1\nmax_iter = inf\n")
 
     def test_unknown_key(self):
         with pytest.raises(ParseError, match="unknown config"):

@@ -105,6 +105,37 @@ class TestBasicDispatch:
             build_ed(net, m2.days[0], Plan({"b1": (1.0, 1.0)}), m2.tech)
 
 
+class TestFullShape:
+    """With a start store every candidate bus gets a storage unit, rated
+    exactly zero where nothing is installed, and the solution keeps the
+    one-off dispatch's contract."""
+
+    def test_matches_one_off_dispatch(self, rand_instance):
+        inst = rand_instance(1, n_buses=10, n_days=2)
+        net, tech = inst.net, inst.tech
+        cands = list(net.candidate_buses)
+        # one unit installed, one below INSTALLED_EPS, the rest empty
+        plan = Plan({cands[0]: (2.0, 4.0), cands[1]: (5e-5, 1e-4)})
+        bi = net.bus_index()
+        empty = [bi[b] for b in cands[1:]]
+        for day in inst.days:
+            lp = build_ed(net, day, plan, tech, cands)
+            assert lp.n_vars - build_ed(net, day, plan, tech).n_vars \
+                == 5 * day.n_hours * (len(cands) - 1)
+            for kind, rating in (("chcap", 2.0), ("socmax", 4.0)):
+                rhs = lp.rhs[lp.rows[kind]]
+                assert (rhs[:, 0] == rating).all()
+                assert (rhs[:, 1:] == 0.0).all()
+
+            one_off = solve_ed(net, day, plan, tech)
+            full = solve_ed(net, day, plan, tech, starts={})
+            assert full.cost == pytest.approx(one_off.cost, rel=1e-9)
+            assert full.storage_buses == one_off.storage_buses == cands[:1]
+            for name in ("p_ch", "p_dis", "r_eu", "r_ed", "e_soc", "phi_ch",
+                         "phi_dis", "phi_soc", "psi_soc", "gamma_e"):
+                assert not getattr(full, name)[:, empty].any(), name
+
+
 @pytest.fixture(scope="module")
 def solved(rand_instance):
     inst = rand_instance(3)

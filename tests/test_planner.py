@@ -3,11 +3,32 @@ import sys
 import numpy as np
 import pytest
 
-from storageplan import oracle
+from storageplan import lp_core, oracle
 from storageplan.model import Plan
 from storageplan.planner import (default_budget_min, dispatch_all,
                                  evaluate_plan, format_report, format_trace,
                                  inner_loop, outer_loop)
+
+
+def count_cold_dispatch(monkeypatch, fn, *args, **kwargs):
+    """Call ``fn`` and count the dispatch LPs that HiGHS ran without a
+    start basis."""
+    real_solve, real_linprog = lp_core.solve, lp_core.linprog
+    names, cold = [], []
+
+    def naming_solve(lp, starts=None):
+        names.append(lp.name)
+        return real_solve(lp, starts)
+
+    def counting_linprog(*args, basis=None, **kwargs):
+        cold.append(names[-1].startswith("ed[") and basis is None)
+        return real_linprog(*args, basis=basis, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp_core, "solve", naming_solve)
+        m.setattr(lp_core, "linprog", counting_linprog)
+        result = fn(*args, **kwargs)
+    return result, sum(cold)
 
 
 class TestEvaluatePlan:
@@ -59,6 +80,11 @@ class TestInnerLoop:
         with pytest.raises(ValueError, match="max_iter"):
             inner_loop(m2.net, m2.days, m2.tech, None, max_iter=0)
 
+    def test_negative_budget_rejected(self, m2):
+        for budget in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="budget must be nonnegative"):
+                inner_loop(m2.net, m2.days, m2.tech, budget)
+
     def test_deterministic(self, rand_instance):
         inst = rand_instance(2)
         a = inner_loop(inst.net, inst.days, inst.tech, inst.budget)
@@ -96,6 +122,18 @@ class TestInnerLoop:
         for d in inst.days:
             assert a[d.day_id].cost == b[d.day_id].cost
             assert np.array_equal(a[d.day_id].lmp, b[d.day_id].lmp)
+
+    def test_only_the_first_sweep_dispatches_cold(self, rand_instance,
+                                                  monkeypatch):
+        """Deterministic companion of the warm-start speedup: every day's
+        LP keeps one shape while the installed set changes, so each
+        re-dispatch starts from the day's last basis."""
+        inst = rand_instance(1, n_buses=10, n_days=5)
+        res, cold = count_cold_dispatch(
+            monkeypatch, inner_loop, inst.net, inst.days, inst.tech,
+            inst.budget)
+        assert len({r.plan_nonzeros for r in res.iterations}) > 1
+        assert cold == len(inst.days)
 
     def test_cost_dominates_oracle_within_tolerance(self, rand_instance):
         inst = rand_instance(1)
@@ -151,6 +189,18 @@ class TestOuterLoop:
             == (b.system_cost, b.baseline_cost, b.revenue, b.lower_bound)
         assert a.outer_trace == b.outer_trace
         assert a.iterations == b.iterations
+
+    def test_rounds_keep_warm_starts(self, rand_instance, monkeypatch):
+        inst = rand_instance(2, n_buses=8, n_days=2)
+        res, cold = count_cold_dispatch(
+            monkeypatch, outer_loop, inst.net, inst.days, inst.tech,
+            chi=5.0, budget_init=inst.budget, max_outer=2)
+        assert len(res.outer_trace) == 2
+        assert cold == len(inst.days)
+
+    def test_negative_budget_rejected(self, m2):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            outer_loop(m2.net, m2.days, m2.tech, chi=1.0, budget_init=-1.0)
 
     def test_chi_below_one_clamped(self, m2):
         with pytest.warns(UserWarning, match="clamping"):
