@@ -15,7 +15,7 @@ the nonpositive duals used for investment subgradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -185,6 +185,20 @@ def _installed_buses(net: Network, plan: Plan) -> list[str]:
     return [b for b in net.candidate_buses if plan.power(b) > INSTALLED_EPS]
 
 
+def _ratings(net: Network, plan: Plan, tech: StorageTech, units: list[str]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Checked power and energy ratings of ``units``, exactly zero where
+    nothing is installed."""
+    plan.check_ratio_bounds(tech)
+    for b in plan.ratings:
+        if b not in net.candidate_buses:
+            raise ValueError(f"plan bus {b} is not a storage candidate")
+    p = np.array([plan.power(b) for b in units], dtype=float)
+    e = np.array([plan.energy(b) for b in units], dtype=float)
+    on = p > INSTALLED_EPS
+    return np.where(on, p, 0.0), np.where(on, e, 0.0)
+
+
 def build_ed(net: Network, day: TypicalDay, plan: Plan, tech: StorageTech,
              units: list[str] | None = None) -> lp_core.ArrayLP:
     """The economic-dispatch LP for one typical day at a fixed plan.
@@ -193,20 +207,29 @@ def build_ed(net: Network, day: TypicalDay, plan: Plan, tech: StorageTech,
     installed ones.  A unit at a bus without installed storage is rated
     exactly zero.
     """
-    plan.check_ratio_bounds(tech)
-    for b in plan.ratings:
-        if b not in net.candidate_buses:
-            raise ValueError(f"plan bus {b} is not a storage candidate")
     if units is None:
         units = _installed_buses(net, plan)
-    p = np.array([plan.power(b) for b in units], dtype=float)
-    e = np.array([plan.energy(b) for b in units], dtype=float)
-    on = p > INSTALLED_EPS
-    lp = LPBuilder(name=f"ed[{day.day_id}]")
+    p_rhs, e_rhs = _ratings(net, plan, tech, units)
+    lp = LPBuilder(name=_name(day))
     lp.cols, lp.rows = add_day_block(lp, net, day, tech, units,
-                                     p_rhs=np.where(on, p, 0.0),
-                                     e_rhs=np.where(on, e, 0.0))
+                                     p_rhs=p_rhs, e_rhs=e_rhs)
     return lp.build()
+
+
+def _name(day: TypicalDay) -> str:
+    return f"ed[{day.day_id}]"
+
+
+def _rerated(lp: lp_core.ArrayLP, net: Network, plan: Plan,
+             tech: StorageTech, units: list[str]) -> lp_core.ArrayLP:
+    """``lp`` (built by :func:`build_ed` with ``units``) at ``plan``: only
+    the right-hand sides of the rating rows change."""
+    p_rhs, e_rhs = _ratings(net, plan, tech, units)
+    rhs = lp.rhs.copy()
+    rhs[lp.rows["chcap"]] = p_rhs
+    rhs[lp.rows["discap"]] = p_rhs
+    rhs[lp.rows["socmax"]] = e_rhs
+    return replace(lp, rhs=rhs)
 
 
 @dataclass
@@ -309,19 +332,31 @@ def solve_ed(net: Network, day: TypicalDay, plan: Plan,
     """Dispatch one day; ``starts`` is passed on to :func:`lp_core.solve`.
 
     With ``starts`` every candidate bus gets a storage unit, zero-rated
-    where nothing is installed, so the day's LP keeps one shape from
-    plan to plan and each re-solve starts from the day's last basis.
-    Without it only installed buses get a unit, because zero-rated units
-    make a cold solve slower.
+    where nothing is installed, so the day's LP keeps one matrix from
+    plan to plan.  It is built once: a re-solve writes the plan's
+    ratings into the rating rows of the LP held in ``starts`` and HiGHS
+    re-solves its loaded model from there.  Without it only installed
+    buses get a unit, because zero-rated units make a cold solve slower.
     """
     installed = _installed_buses(net, plan)
-    units = installed if starts is None else list(net.candidate_buses)
-    lp = build_ed(net, day, plan, tech, units)
+    if starts is None:
+        units = installed
+        lp = build_ed(net, day, plan, tech, units)
+    else:
+        units = list(net.candidate_buses)
+        lp = lp_core.held(starts, _name(day))
+        lp = (build_ed(net, day, plan, tech, units) if lp is None
+              else _rerated(lp, net, plan, tech, units))
     sol = lp_core.solve(lp, starts)
     if sol.status != "optimal":
         raise DispatchInfeasibleError(day.day_id,
                                       _first_infeasible_hour(net, day, plan, tech))
     return extract_solution(sol, net, day, installed, lp, units)
+
+
+def is_held(starts: dict, day: TypicalDay) -> bool:
+    """Whether ``starts`` holds ``day``'s dispatch LP."""
+    return lp_core.held(starts, _name(day)) is not None
 
 
 def storage_revenue(sol: DispatchSolution, tech: StorageTech,

@@ -140,7 +140,8 @@ def random_instance(seed: int, n_buses: int | None = None,
     used = set(edges)
     all_pairs = [(i, j) for i in range(nb) for j in range(i + 1, nb)
                  if (i, j) not in used]
-    n_lines = int(rng.integers(max(6, nb - 1), min(30, len(all_pairs) + nb - 1) + 1))
+    most = min(30, len(all_pairs) + nb - 1)
+    n_lines = int(rng.integers(min(max(6, nb - 1), most), most + 1))
     extra = n_lines - (nb - 1)
     if extra > 0 and all_pairs:
         picks = rng.choice(len(all_pairs), size=min(extra, len(all_pairs)),

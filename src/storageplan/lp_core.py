@@ -15,12 +15,15 @@ dual sign convention used throughout the package:
 * reduced costs follow the same convention for variable bounds
   (nonnegative at a lower bound, nonpositive at an upper bound).
 
-A solve may start from the optimal basis of an earlier solve of an LP
-with the same name and shape (see :func:`solve`).  The start changes
-only the simplex path, never the model, so the optimum is the same up
-to the choice among degenerate optimal vertices.  HiGHS is
-deterministic for identical input and start basis, so repeated solves
-return bit-identical solutions.
+An LP that is solved again and again (a day's dispatch, a marginal-unit
+LP) stays loaded in HiGHS between solves: a re-solve patches only the
+bounds and costs that changed and runs again from the model's own basis
+and factorization, and an LP's first load starts from the basis of an
+earlier LP of the same shape (see :func:`solve`).  Starts change only
+the simplex path, never the model, so the optimum is the same up to the
+choice among degenerate optimal vertices.  HiGHS is deterministic for
+identical input and start, so repeated solves return bit-identical
+solutions.
 """
 
 from __future__ import annotations
@@ -188,6 +191,35 @@ _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
+class Loaded:
+    """A HiGHS model kept for re-solves, with the arrays it holds (in
+    :func:`linprog`'s terms: infinities clipped, ``A_ub`` rows first)."""
+
+    highs: _Highs
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+
+    def patch(self, c, lb, ub, row_lower, row_upper):
+        """Change the costs, column bounds and row bounds that differ."""
+        highs = self.highs
+        cols = np.flatnonzero(c != self.c).astype(np.int32)
+        if cols.size:
+            highs.changeColsCost(cols.size, cols, c[cols])
+        cols = np.flatnonzero((lb != self.lb) | (ub != self.ub)
+                              ).astype(np.int32)
+        if cols.size:
+            highs.changeColsBounds(cols.size, cols, lb[cols], ub[cols])
+        for i in np.flatnonzero((row_lower != self.row_lower)
+                                | (row_upper != self.row_upper)).tolist():
+            highs.changeRowBounds(i, row_lower[i], row_upper[i])
+        self.c, self.lb, self.ub = c, lb, ub
+        self.row_lower, self.row_upper = row_lower, row_upper
+
+
+@dataclass
 class HighsResult:
     """One HiGHS run, in the terms of :func:`scipy.optimize.linprog`.
 
@@ -195,6 +227,7 @@ class HighsResult:
     4 other).  The solution fields are set
     only when optimal; ``ineq_duals``/``eq_duals`` are the row duals of
     ``A_ub``/``A_eq`` and ``basis`` is the final ``HighsBasis``.
+    ``model`` is the model HiGHS ran, for a later re-solve.
     """
 
     status: int
@@ -206,10 +239,11 @@ class HighsResult:
     eq_duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     basis: object = None
+    model: Loaded | None = None
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
-            basis=None) -> HighsResult:
+            basis=None, model: Loaded | None = None) -> HighsResult:
     """min ``c @ x`` s.t. ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq`` and
     ``bounds[:, 0] <= x <= bounds[:, 1]``, solved by HiGHS.
 
@@ -222,10 +256,13 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     element.  With ``basis`` (the ``basis`` of an optimal result for an
     LP of the same shape) the dual simplex starts from it and skips
     presolve; a basis HiGHS rejects leaves the solve cold.
+
+    With ``model`` (the ``model`` of an earlier result whose matrix is
+    ``A_ub`` over ``A_eq``) nothing is loaded: the costs and bounds that
+    differ are patched into it and HiGHS runs again from its own basis
+    and factorization.
     """
     n = c.size
-    mats = [m for m in (A_ub, A_eq) if m is not None]
-    A = csc_array(vstack(mats)) if mats else csc_array((0, n))
     b_ub = np.empty(0) if b_ub is None else b_ub
     b_eq = np.empty(0) if b_eq is None else b_eq
     inf = _highs.kHighsInf
@@ -233,25 +270,33 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     row_lower = np.concatenate((np.full(b_ub.size, -inf), b_eq))
     row_upper = np.clip(np.concatenate((b_ub, b_eq)), -inf, inf)
 
-    highs = _Highs()
-    for key, val in _RUN_OPTIONS.items():
-        highs.setOptionValue(key, val)
-    if highs.passModel(
-            n, row_upper.size, A.nnz, int(_highs.MatrixFormat.kColwise),
-            int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lower,
-            row_upper, A.indptr, A.indices, A.data,
-            np.zeros(n, dtype=np.int32)) == _highs.HighsStatus.kError:
-        return HighsResult(_SCIPY_STATUS[_MS.kModelError],
-                           highs.modelStatusToString(_MS.kModelError), 0)
-    if basis is not None:
-        highs.setBasis(basis)
+    if model is not None:
+        model.patch(c.copy(), lb, ub, row_lower, row_upper)
+        highs = model.highs
+    else:
+        mats = [m for m in (A_ub, A_eq) if m is not None]
+        A = csc_array(vstack(mats)) if mats else csc_array((0, n))
+        highs = _Highs()
+        for key, val in _RUN_OPTIONS.items():
+            highs.setOptionValue(key, val)
+        if highs.passModel(
+                n, row_upper.size, A.nnz, int(_highs.MatrixFormat.kColwise),
+                int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lower,
+                row_upper, A.indptr, A.indices, A.data,
+                np.zeros(n, dtype=np.int32)) == _highs.HighsStatus.kError:
+            return HighsResult(_SCIPY_STATUS[_MS.kModelError],
+                               highs.modelStatusToString(_MS.kModelError), 0)
+        if basis is not None:
+            highs.setBasis(basis)
+        model = Loaded(highs, c.copy(), lb, ub, row_lower, row_upper)
     highs.run()
     model_status = highs.getModelStatus()
     info = highs.getInfo()
     status = _SCIPY_STATUS.get(model_status, 4)
     message = highs.modelStatusToString(model_status)
     if model_status != _MS.kOptimal:
-        return HighsResult(status, message, info.simplex_iteration_count)
+        return HighsResult(status, message, info.simplex_iteration_count,
+                           model=model)
 
     sol = highs.getSolution()
     row_dual = np.array(sol.row_dual)
@@ -260,7 +305,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     basis_status, basic = highs.getBasicVariables()
     if basis_status != _highs.HighsStatus.kOk:
         return HighsResult(4, f"{message}, but no basis",
-                           info.simplex_iteration_count)
+                           info.simplex_iteration_count, model=model)
     at_bound = np.isfinite(lb) | np.isfinite(ub)
     at_bound[basic[basic >= 0]] = False
     return HighsResult(
@@ -270,7 +315,48 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
         ineq_duals=row_dual[:b_ub.size],
         eq_duals=row_dual[b_ub.size:],
         reduced_costs=np.where(at_bound, np.array(sol.col_dual), 0.0),
-        basis=highs.getBasis())
+        basis=highs.getBasis(), model=model)
+
+
+@dataclass(frozen=True)
+class _Held:
+    """An LP held loaded in a start store (see :func:`solve`)."""
+
+    lp: ArrayLP             # the LP last solved under this key
+    rows: tuple             # its ``<=`` rows, their signs and its ``=`` rows
+    matrices: dict          # its ``A_ub``/``A_eq``
+    model: Loaded
+    basis: object           # the basis of its first solve: a seed
+
+
+def _same_matrix(a: ArrayLP, b: ArrayLP) -> bool:
+    if a.A is b.A and a.sense is b.sense:
+        return True
+    return (np.array_equal(a.sense, b.sense) and a.A.nnz == b.A.nnz
+            and all(np.array_equal(getattr(a.A, k), getattr(b.A, k))
+                    for k in ("indptr", "indices", "data")))
+
+
+def _split(lp: ArrayLP) -> tuple[tuple, dict]:
+    """The ``<=``/``>=`` rows, negated for ``>=``, as ``A_ub`` and the
+    equality rows as ``A_eq``."""
+    ub_rows = np.flatnonzero(lp.sense != 0)
+    eq_rows = np.flatnonzero(lp.sense == 0)
+    sign = lp.sense[ub_rows].astype(float)
+    matrices = {}
+    if ub_rows.size:
+        A_ub = lp.A[ub_rows]
+        A_ub.data = A_ub.data * np.repeat(sign, np.diff(A_ub.indptr))
+        matrices["A_ub"] = A_ub
+    if eq_rows.size:
+        matrices["A_eq"] = lp.A[eq_rows]
+    return (ub_rows, sign, eq_rows), matrices
+
+
+def held(starts: dict, name: str) -> ArrayLP | None:
+    """The LP last solved under ``name`` in the store ``starts``, if any."""
+    return next((h.lp for key, h in list(starts.items()) if key[0] == name),
+                None)
 
 
 def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
@@ -279,38 +365,52 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     HiGHS receives the ``<=``/``>=`` rows, in model order and negated for
     ``>=``, as ``A_ub`` and the equality rows as ``A_eq``.
 
-    ``starts`` maps ``(lp.name, n_vars, n_rows)`` to the last optimal
-    basis of an LP of that name and shape.  A hit warm-starts this
-    solve, and an optimal solve stores its basis there.  An LP whose
-    shape changed starts cold, so a caller that re-solves an LP keeps
-    its shape fixed (see :func:`storageplan.dispatch.solve_ed`).
+    ``starts`` is a store of loaded models keyed by
+    ``(lp.name, n_vars, n_rows)``; it keeps the model of every optimal
+    solve.  When it holds a model for this key with ``lp``'s matrix, the
+    costs and bounds that differ are patched into that model and HiGHS
+    runs again from its basis: the LP is neither split nor loaded again.
+    Otherwise the LP is loaded and starts from the first-solve basis of
+    the first LP of its shape in the store, if any.  A started solve that
+    does not end optimal is repeated cold, so a start never changes an
+    outcome.  A caller that re-solves an LP keeps its matrix fixed (see
+    :func:`storageplan.dispatch.solve_ed`).
     """
     if lp.n_vars == 0:
         raise LPError("no variables")
-    ub_rows = np.flatnonzero(lp.sense != 0)
-    eq_rows = np.flatnonzero(lp.sense == 0)
-    sign = lp.sense[ub_rows].astype(float)
-    kwargs = {}
+    key = (lp.name, lp.n_vars, lp.n_rows)
+    hold = seed = None
+    if starts is not None:
+        hold = starts.get(key)
+        if hold is not None and not _same_matrix(hold.lp, lp):
+            hold = None
+        if hold is None:
+            seed = next((h.basis for k, h in list(starts.items())
+                         if k[1:] == key[1:]), None)
+    rows, matrices = ((hold.rows, hold.matrices) if hold is not None
+                      else _split(lp))
+    ub_rows, sign, eq_rows = rows
+    kwargs = dict(matrices, bounds=np.column_stack((lp.lb, lp.ub)))
     if ub_rows.size:
-        A_ub = lp.A[ub_rows]
-        A_ub.data = A_ub.data * np.repeat(sign, np.diff(A_ub.indptr))
-        kwargs["A_ub"] = A_ub
         kwargs["b_ub"] = sign * lp.rhs[ub_rows]
     if eq_rows.size:
-        kwargs["A_eq"] = lp.A[eq_rows]
         kwargs["b_eq"] = lp.rhs[eq_rows]
-    key = (lp.name, lp.n_vars, lp.n_rows)
-    if starts is not None:
-        kwargs["basis"] = starts.get(key)
 
-    res = linprog(lp.c, bounds=np.column_stack((lp.lb, lp.ub)), **kwargs)
+    start = ({"model": hold.model} if hold is not None
+             else {"basis": seed} if seed is not None else {})
+    res = linprog(lp.c, **start, **kwargs)
+    if res.status != 0 and start:
+        res = linprog(lp.c, **kwargs)
     status = _STATUS.get(res.status)
+    if status != "optimal" and starts is not None:
+        starts.pop(key, None)
     if status is None:
         raise LPError(f"solver failure on {lp.name}: {res.message}")
     if status != "optimal":
         return LPSolution(status=status)
     if starts is not None:
-        starts[key] = res.basis
+        starts[key] = _Held(lp, rows, matrices, res.model,
+                            res.basis if hold is None else hold.basis)
 
     duals = np.zeros(lp.n_rows)
     duals[ub_rows] = sign * res.ineq_duals

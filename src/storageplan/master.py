@@ -36,7 +36,7 @@ class MasterState:
     best_cost: float = math.inf
     best_plan: Plan = field(default_factory=Plan)
     lower_bound: float = -math.inf
-    # last optimal bases of the dispatch and marginal-unit LPs (see
+    # the dispatch and marginal-unit LPs held loaded in HiGHS (see
     # lp_core.solve), shared by the inner loops of one planning call
     starts: dict = field(default_factory=dict, repr=False)
 

@@ -52,6 +52,8 @@ def build_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
 
 def solve_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
                      budget: float | None = None) -> OracleResult:
+    if budget is not None and not budget >= 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     t0 = time.perf_counter()
     lp = build_monolithic(net, days, tech, budget)
     t1 = time.perf_counter()

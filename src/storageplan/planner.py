@@ -16,7 +16,8 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .dispatch import DispatchSolution, solve_ed, storage_revenue
+from .dispatch import (DispatchSolution, is_held, solve_ed,
+                       storage_revenue)
 from .master import MasterState, convergence_check, solve_master
 from .model import Network, Plan, StorageTech, TypicalDay
 from .subgradient import Cut, assemble_cut, compute_subgradients
@@ -68,17 +69,23 @@ def dispatch_all(net: Network, days: list[TypicalDay], plan: Plan,
                  starts: dict | None = None) -> dict[str, DispatchSolution]:
     """Solve every typical day; results keyed and reduced in day order.
 
-    ``starts`` warm-starts each day's LP from the day's last basis; the
-    LP then has a storage unit at every candidate bus, so its shape does
-    not change with the plan.  Days have distinct LP names, so worker
-    threads never share an entry."""
+    ``starts`` holds each day's dispatch LP loaded in HiGHS (see
+    :func:`storageplan.dispatch.solve_ed`); a day loaded for the first
+    time starts from the first day's basis, so the first day is solved
+    before the pool starts and threads give the serial result bit for
+    bit.  Days have distinct LP names, so worker threads never share an
+    entry."""
+    def one(day):
+        return solve_ed(net, day, plan, tech, starts=starts)
+
     if workers > 1:
+        first = []
+        if starts is not None and days and not is_held(starts, days[0]):
+            first = [one(days[0])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(
-                lambda day: solve_ed(net, day, plan, tech, starts=starts),
-                days))
+            sols = first + list(pool.map(one, days[len(first):]))
     else:
-        sols = [solve_ed(net, day, plan, tech, starts=starts) for day in days]
+        sols = [one(day) for day in days]
     return {day.day_id: sol for day, sol in zip(days, sols)}
 
 
@@ -216,6 +223,8 @@ def outer_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
                max_outer: int = 20, max_iter: int = 150,
                workers: int = 1) -> PlanResult:
     """Enforce revenue >= chi * investment by iterative budget reduction."""
+    if max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
     if chi < 1.0:
         warnings.warn(f"rate of return {chi} below 1 is vacuous; clamping to 1")
         chi = 1.0

@@ -11,7 +11,7 @@ rating coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,33 +63,48 @@ def subgrad_installed(sols: dict[str, DispatchSolution], weights: dict[str, floa
     return out
 
 
+def _name(bus: str) -> str:
+    return f"sgsp[{bus}]"
+
+
+def _sgsp_costs(days: list[TypicalDay], prices: dict[str, DispatchSolution],
+                tech: StorageTech, bus: str) -> np.ndarray:
+    """Objective of :func:`build_sgsp`'s LP at ``prices``."""
+    blocks = [np.array([tech.c_p])]
+    for day in days:
+        sol = prices[day.day_id]
+        w = day.weight
+        lam = sol.lmp[:, sol.bus_col(bus)]
+        blocks.append(np.column_stack((
+            w * (lam / tech.eta_ch + tech.c_ch),
+            w * (-lam * tech.eta_dis + tech.c_dis),
+            w * (-sol.lam_ru * tech.eta_dis + tech.c_eu),
+            w * (-sol.lam_rd / tech.eta_ch + tech.c_ed),
+            np.zeros(day.n_hours))).ravel())
+    return np.concatenate(blocks)
+
+
 def build_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
                tech: StorageTech, bus: str) -> lp_core.ArrayLP:
     """Price-taker LP for a marginal 1 MWh unit at ``bus``.
 
     Columns are the unit's power/energy ratio rho (the power rating,
     since the energy rating is normalized to 1 MWh) followed by its
-    dispatch over every typical day.  Prices are frozen at the current
-    iteration's duals.  The optimal objective is the net daily cost of
-    the unit excluding the energy-capital constant ``c_e``.
+    dispatch over every typical day, hour by hour in
+    :data:`~storageplan.dispatch.STORAGE_COLS` order.  Prices are frozen
+    at the current iteration's duals; they enter the objective only.
+    The optimal objective is the net daily cost of the unit excluding
+    the energy-capital constant ``c_e``.
     """
-    lp = LPBuilder(name=f"sgsp[{bus}]")
+    lp = LPBuilder(name=_name(bus))
     rho = lp.add_cols(())
-    lp.c[rho] = tech.c_p
     lp.lb[rho] = tech.rho_min
     lp.ub[rho] = tech.rho_max
     for day in days:
-        sol = prices[day.day_id]
-        w = day.weight
-        lam = sol.lmp[:, sol.bus_col(bus)]
         x = lp.add_cols((day.n_hours, 1, 5))
-        pch, pdis, reu, red = (x[:, 0, k] for k in range(4))
-        lp.c[pch] = w * (lam / tech.eta_ch + tech.c_ch)
-        lp.c[pdis] = w * (-lam * tech.eta_dis + tech.c_dis)
-        lp.c[reu] = w * (-sol.lam_ru * tech.eta_dis + tech.c_eu)
-        lp.c[red] = w * (-sol.lam_rd / tech.eta_ch + tech.c_ed)
         add_storage_block(lp, x, lp.add_rows(x.shape), tech, p_col=rho,
                           e_rhs=1.0)
+    lp.c = _sgsp_costs(days, prices, tech, bus)
     lp.cols = {"rho": rho}
     return lp.build()
 
@@ -99,8 +114,13 @@ def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
                ) -> tuple[float, float]:
     """Return (g0, rho0): marginal-unit net daily cost and its P/E ratio.
 
-    ``starts`` is passed on to :func:`lp_core.solve`."""
-    lp = build_sgsp(days, prices, tech, bus)
+    ``starts`` is passed on to :func:`lp_core.solve`; the LP held there
+    for ``bus`` is re-solved with the new prices' costs, not rebuilt."""
+    lp = None if starts is None else lp_core.held(starts, _name(bus))
+    if lp is None:
+        lp = build_sgsp(days, prices, tech, bus)
+    else:
+        lp = replace(lp, c=_sgsp_costs(days, prices, tech, bus))
     sol = lp_core.solve(lp, starts)
     if sol.status != "optimal":
         raise RuntimeError(f"marginal-unit LP {sol.status} at bus {bus}")
@@ -118,7 +138,7 @@ def compute_subgradients(net: Network, days: list[TypicalDay],
                          ) -> tuple[dict[str, tuple[float, float]],
                                     dict[str, str]]:
     """Subgradient pair and branch tag for every candidate bus; ``starts``
-    warm-starts the marginal-unit LPs."""
+    holds the marginal-unit LPs loaded (see :func:`solve_sgsp`)."""
     weights = {day.day_id: day.weight for day in days}
     grads = subgrad_installed(sols, weights, tech, plan)
     branch = {b: "BE" for b in grads}

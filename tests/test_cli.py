@@ -72,6 +72,12 @@ class TestPlanCommand:
         assert run(base_args("plan", m2_files, config=config)) == 1
         assert f"{config}:2: infinite value" in capsys.readouterr().err
 
+    def test_zero_outer_rounds(self, m2_files, capsys):
+        config = m2_files["out"].parent / "run.cfg"
+        config.write_text("max_outer = 0\n")
+        assert run(base_args("plan", m2_files, config=config)) == 1
+        assert "max_outer must be at least 1" in capsys.readouterr().err
+
     def test_invalid_network_rejected(self, m2_files, capsys):
         text = m2_files["network"].read_text().replace("g1 b1", "g1 b9")
         m2_files["network"].write_text(text)
@@ -103,6 +109,10 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         assert "system_cost = 1720.000000" in out
         assert (m2_files["out"] / "oracle.txt").exists()
+
+    def test_negative_budget(self, m2_files, capsys):
+        assert run(base_args("oracle", m2_files, budget="-1")) == 1
+        assert "budget must be nonnegative" in capsys.readouterr().err
 
 
 class TestDispatchCommand:

@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from storageplan import instances, lp_core, master, oracle, planner
+from storageplan import (instances, lp_core, master, oracle, planner,
+                         subgradient)
 from storageplan.dispatch import build_ed, solve_ed
 from storageplan.lp_core import EQ, GE, LE, LPBuilder, LPError
 from storageplan.model import Plan
@@ -266,8 +268,9 @@ def test_start_from_another_model_of_the_same_shape():
 
 def test_warm_starts_in_inner_loop_match_cold_solves(monkeypatch):
     """Deterministic companion of the warm-start speedup: every dispatch
-    and marginal-unit LP that the inner loop warm-starts has its cold
-    optimum, and the warm solves take fewer simplex iterations."""
+    and marginal-unit LP that the inner loop re-solves hot or loads from
+    another LP's basis has its cold optimum, and the started solves take
+    fewer simplex iterations."""
     inst = instances.random_instance(1, n_buses=10, n_days=5)
     real_solve, real_linprog = lp_core.solve, lp_core.linprog
     nits = []
@@ -280,14 +283,15 @@ def test_warm_starts_in_inner_loop_match_cold_solves(monkeypatch):
         return res
 
     def checking_solve(lp, starts=None):
-        if starts is None or (lp.name, lp.n_vars, lp.n_rows) not in starts:
-            return real_solve(lp, starts)
+        if starts is None:
+            return real_solve(lp)
+        hot = (lp.name, lp.n_vars, lp.n_rows) in starts
         sol = real_solve(lp, starts)
         iters["warm"] += nits[-1]
         cold = real_solve(lp)
         iters["cold"] += nits[-1]
         assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
-        warm[lp.name.split("[")[0]] += 1
+        warm[lp.name.split("[")[0]] += hot
         return sol
 
     monkeypatch.setattr(lp_core, "linprog", counting_linprog)
@@ -297,3 +301,130 @@ def test_warm_starts_in_inner_loop_match_cold_solves(monkeypatch):
     assert res.converged
     assert warm["ed"] > 0 and warm["sgsp"] > 0
     assert iters["warm"] < iters["cold"]
+
+
+def _held_arrays(highs) -> list[np.ndarray]:
+    """Costs, bounds, row bounds and matrix of a loaded HiGHS model."""
+    lp = highs.getLp()
+    m = lp.a_matrix_
+    return [np.asarray(v) for v in (lp.col_cost_, lp.col_lower_,
+                                    lp.col_upper_, lp.row_lower_,
+                                    lp.row_upper_, m.start_, m.index_,
+                                    m.value_)]
+
+
+def _assert_holds(starts, fresh):
+    """The model held in ``starts`` for ``fresh``'s key is the model a
+    cold load of ``fresh`` gives HiGHS."""
+    key = (fresh.name, fresh.n_vars, fresh.n_rows)
+    store = {}
+    lp_core.solve(fresh, store)
+    for a, b in zip(_held_arrays(starts[key].model.highs),
+                    _held_arrays(store[key].model.highs)):
+        assert np.array_equal(a, b)
+
+
+def test_held_models_equal_fresh_builds(monkeypatch):
+    """After every re-solve of an inner loop, the dispatch and
+    marginal-unit models held in HiGHS equal the models of fresh
+    ``build_ed``/``build_sgsp`` calls at that plan or those prices."""
+    inst = instances.random_instance(1, n_buses=10, n_days=3)
+    net, tech = inst.net, inst.tech
+    real_ed, real_sgsp = planner.solve_ed, subgradient.solve_sgsp
+    checked = {"ed": 0, "sgsp": 0}
+
+    def checking_ed(net, day, plan, tech, starts=None):
+        sol = real_ed(net, day, plan, tech, starts=starts)
+        _assert_holds(starts, build_ed(net, day, plan, tech,
+                                       list(net.candidate_buses)))
+        checked["ed"] += 1
+        return sol
+
+    def checking_sgsp(days, prices, tech, bus, starts=None):
+        out = real_sgsp(days, prices, tech, bus, starts)
+        _assert_holds(starts, build_sgsp(days, prices, tech, bus))
+        checked["sgsp"] += 1
+        return out
+
+    monkeypatch.setattr(planner, "solve_ed", checking_ed)
+    monkeypatch.setattr(subgradient, "solve_sgsp", checking_sgsp)
+    res = planner.inner_loop(net, inst.days, tech, inst.budget)
+    assert res.converged and len(res.iterations) > 1
+    assert checked["ed"] > len(inst.days) and checked["sgsp"] > 1
+
+
+def test_each_lp_is_loaded_once_per_planning_call(monkeypatch):
+    """An inner loop loads one HiGHS model per day and one per bus whose
+    marginal-unit LP it solves; every other solve re-uses a model."""
+    inst = instances.random_instance(1, n_buses=10, n_days=5)
+    real_solve, real_linprog = lp_core.solve, lp_core.linprog
+    names, loads = [], []
+
+    def naming_solve(lp, starts=None):
+        names.append(lp.name)
+        return real_solve(lp, starts)
+
+    def counting_linprog(*args, model=None, **kwargs):
+        if model is None:
+            loads.append(names[-1])
+        return real_linprog(*args, model=model, **kwargs)
+
+    monkeypatch.setattr(lp_core, "solve", naming_solve)
+    monkeypatch.setattr(lp_core, "linprog", counting_linprog)
+    res = planner.inner_loop(inst.net, inst.days, inst.tech, inst.budget)
+    days = {n for n in names if n.startswith("ed[")}
+    buses = {n for n in names if n.startswith("sgsp[")}
+    assert len(res.iterations) > 1 and buses
+    assert days == {f"ed[{d.day_id}]" for d in inst.days}
+    held = [n for n in loads if n != "master"]
+    assert len(held) == len(inst.days) + len(buses)
+    assert set(held) == days | buses
+    assert len(names) - names.count("master") > len(held)
+
+
+def _capped_small_lp(cover: float):
+    """small_lp with y <= 1 and cover rhs ``cover``: infeasible above 4."""
+    lp = small_lp()
+    return replace(lp, ub=np.array([math.inf, 1.0]),
+                   rhs=np.array([cover, 3.0]))
+
+
+def test_patched_lp_reaches_cold_outcomes():
+    """Hot starts never change an outcome: a held LP patched infeasible
+    and back to feasible gets the status and objective of fresh cold
+    solves, and the store drops a model whose solve did not end
+    optimal."""
+    starts = {}
+    key = ("small", 2, 2)
+    for cover in (4.0, 5.0, 3.5, 2.0):
+        lp = _capped_small_lp(cover)
+        sol, cold = lp_core.solve(lp, starts), lp_core.solve(lp)
+        assert sol.status == cold.status
+        assert (key in starts) == (cold.status == "optimal")
+        if cold.status == "optimal":
+            assert sol.objective == cold.objective
+            assert np.array_equal(sol.x, cold.x)
+    assert [lp_core.solve(_capped_small_lp(c)).status
+            for c in (4.0, 5.0)] == ["optimal", "infeasible"]
+
+
+def test_failed_hot_solve_is_repeated_cold(monkeypatch):
+    """A re-solve of a held model that does not end optimal is loaded
+    and solved again cold before its outcome is reported."""
+    starts = {}
+    lp_core.solve(_capped_small_lp(4.0), starts)
+    real = lp_core.linprog
+    hot = []
+
+    def failing_hot(c, model=None, **kwargs):
+        hot.append(model is not None)
+        if model is not None:
+            return lp_core.HighsResult(4, "forced failure", 0)
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(lp_core, "linprog", failing_hot)
+    sol = lp_core.solve(_capped_small_lp(3.5), starts)
+    monkeypatch.undo()
+    assert hot == [True, False]
+    assert sol.status == "optimal"
+    assert sol.objective == lp_core.solve(_capped_small_lp(3.5)).objective

@@ -14,6 +14,11 @@ class TestMonolithic:
         assert res.plan.power("b1") == pytest.approx(10.0)
         assert res.plan.energy("b1") == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_negative_budget_rejected(self, m2, budget):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            solve_monolithic(m2.net, m2.days, m2.tech, budget)
+
     def test_worthless_storage(self, m1):
         res = solve_monolithic(m1.net, m1.days, m1.tech, None)
         assert res.system_cost == pytest.approx(2600.0)

@@ -12,7 +12,7 @@ from storageplan.planner import (default_budget_min, dispatch_all,
 
 def count_cold_dispatch(monkeypatch, fn, *args, **kwargs):
     """Call ``fn`` and count the dispatch LPs that HiGHS ran without a
-    start basis."""
+    start basis or a loaded model."""
     real_solve, real_linprog = lp_core.solve, lp_core.linprog
     names, cold = [], []
 
@@ -20,9 +20,10 @@ def count_cold_dispatch(monkeypatch, fn, *args, **kwargs):
         names.append(lp.name)
         return real_solve(lp, starts)
 
-    def counting_linprog(*args, basis=None, **kwargs):
-        cold.append(names[-1].startswith("ed[") and basis is None)
-        return real_linprog(*args, basis=basis, **kwargs)
+    def counting_linprog(*args, basis=None, model=None, **kwargs):
+        cold.append(names[-1].startswith("ed[") and basis is None
+                    and model is None)
+        return real_linprog(*args, basis=basis, model=model, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(lp_core, "solve", naming_solve)
@@ -127,13 +128,14 @@ class TestInnerLoop:
                                                   monkeypatch):
         """Deterministic companion of the warm-start speedup: every day's
         LP keeps one shape while the installed set changes, so each
-        re-dispatch starts from the day's last basis."""
+        re-dispatch re-solves the day's loaded model, and every day but
+        the first is first loaded from the first day's basis."""
         inst = rand_instance(1, n_buses=10, n_days=5)
         res, cold = count_cold_dispatch(
             monkeypatch, inner_loop, inst.net, inst.days, inst.tech,
             inst.budget)
         assert len({r.plan_nonzeros for r in res.iterations}) > 1
-        assert cold == len(inst.days)
+        assert cold == 1
 
     def test_cost_dominates_oracle_within_tolerance(self, rand_instance):
         inst = rand_instance(1)
@@ -196,11 +198,15 @@ class TestOuterLoop:
             monkeypatch, outer_loop, inst.net, inst.days, inst.tech,
             chi=5.0, budget_init=inst.budget, max_outer=2)
         assert len(res.outer_trace) == 2
-        assert cold == len(inst.days)
+        assert cold == 1
 
     def test_negative_budget_rejected(self, m2):
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             outer_loop(m2.net, m2.days, m2.tech, chi=1.0, budget_init=-1.0)
+
+    def test_zero_rounds_rejected(self, m2):
+        with pytest.raises(ValueError, match="max_outer must be at least 1"):
+            outer_loop(m2.net, m2.days, m2.tech, chi=1.0, max_outer=0)
 
     def test_chi_below_one_clamped(self, m2):
         with pytest.warns(UserWarning, match="clamping"):

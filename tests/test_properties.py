@@ -1,0 +1,46 @@
+"""Property tests on small generated networks: the decomposition agrees
+with the monolithic oracle, and threads do not change its result."""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from storageplan import instances, oracle
+from storageplan.planner import inner_loop
+
+EPSILON = 0.05
+LB_TOL = 1e-6     # relative slack on "lower bound <= oracle optimum"
+
+small_instances = st.builds(
+    instances.random_instance,
+    seed=st.integers(0, 10_000),
+    n_buses=st.integers(3, 6),
+    n_days=st.integers(1, 3),
+)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(inst=small_instances)
+def test_inner_loop_agrees_with_oracle(inst):
+    res = inner_loop(inst.net, inst.days, inst.tech, inst.budget,
+                     epsilon=EPSILON)
+    assert res.converged
+    ora = oracle.solve_monolithic(inst.net, inst.days, inst.tech, inst.budget)
+    gap = oracle.compare_to_oracle(res.system_cost, ora.system_cost,
+                                   res.baseline_cost, EPSILON)
+    assert gap.saving_ratio >= 1.0 - EPSILON - 1e-9
+    assert res.lower_bound <= ora.system_cost \
+        + LB_TOL * max(1.0, abs(ora.system_cost))
+
+    threaded = inner_loop(inst.net, inst.days, inst.tech, inst.budget,
+                          epsilon=EPSILON, workers=2)
+    assert threaded.plan.ratings == res.plan.ratings
+    assert (threaded.system_cost, threaded.lower_bound) \
+        == (res.system_cost, res.lower_bound)
+    assert threaded.iterations == res.iterations
+    assert threaded.cuts == res.cuts
+
+
+def test_three_bus_instances_build():
+    inst = instances.random_instance(0, n_buses=3, n_days=1)
+    assert len(inst.net.buses) == 3 and len(inst.net.lines) >= 2
