@@ -158,8 +158,8 @@ def cmd_bench(args) -> int:
     sizes = tuple(args.sizes or (1, 3, 5, 10))
     if any(s < 1 for s in sizes):
         raise ValueError("bench sizes must be positive")
-    rows = bench.scaling_benchmark(args.seed, sizes,
-                                   args.epsilon or 0.05)
+    epsilon = 0.05 if args.epsilon is None else args.epsilon
+    rows = bench.scaling_benchmark(args.seed, sizes, epsilon)
     text = bench.format_bench(rows)
     print(text, end="")
     _write(args.out_dir, "bench.txt", text)

@@ -180,38 +180,32 @@ def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
     return cols, rows
 
 
-def _installed_buses(net: Network, plan: Plan) -> list[str]:
-    """Candidate buses where ``plan`` installs storage, in candidate order."""
-    return [b for b in net.candidate_buses if plan.power(b) > INSTALLED_EPS]
-
-
-def _ratings(net: Network, plan: Plan, tech: StorageTech, units: list[str]
+def _ratings(net: Network, plan: Plan, tech: StorageTech
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Checked power and energy ratings of ``units``, exactly zero where
-    nothing is installed."""
+    """Checked power and energy ratings of the candidate buses, exactly
+    zero where nothing is installed."""
     plan.check_ratio_bounds(tech)
     for b in plan.ratings:
         if b not in net.candidate_buses:
             raise ValueError(f"plan bus {b} is not a storage candidate")
-    p = np.array([plan.power(b) for b in units], dtype=float)
-    e = np.array([plan.energy(b) for b in units], dtype=float)
+    p = np.array([plan.power(b) for b in net.candidate_buses], dtype=float)
+    e = np.array([plan.energy(b) for b in net.candidate_buses], dtype=float)
     on = p > INSTALLED_EPS
     return np.where(on, p, 0.0), np.where(on, e, 0.0)
 
 
-def build_ed(net: Network, day: TypicalDay, plan: Plan, tech: StorageTech,
-             units: list[str] | None = None) -> lp_core.ArrayLP:
+def build_ed(net: Network, day: TypicalDay, plan: Plan, tech: StorageTech
+             ) -> lp_core.ArrayLP:
     """The economic-dispatch LP for one typical day at a fixed plan.
 
-    ``units`` are the buses given a storage unit, by default the
-    installed ones.  A unit at a bus without installed storage is rated
-    exactly zero.
+    Every candidate bus gets a storage unit, rated exactly zero where
+    nothing is installed, so a day's LP has one matrix whatever the plan
+    and only the right-hand sides of its rating rows depend on it.
     """
-    if units is None:
-        units = _installed_buses(net, plan)
-    p_rhs, e_rhs = _ratings(net, plan, tech, units)
+    p_rhs, e_rhs = _ratings(net, plan, tech)
     lp = LPBuilder(name=_name(day))
-    lp.cols, lp.rows = add_day_block(lp, net, day, tech, units,
+    lp.cols, lp.rows = add_day_block(lp, net, day, tech,
+                                     list(net.candidate_buses),
                                      p_rhs=p_rhs, e_rhs=e_rhs)
     return lp.build()
 
@@ -221,10 +215,10 @@ def _name(day: TypicalDay) -> str:
 
 
 def _rerated(lp: lp_core.ArrayLP, net: Network, plan: Plan,
-             tech: StorageTech, units: list[str]) -> lp_core.ArrayLP:
-    """``lp`` (built by :func:`build_ed` with ``units``) at ``plan``: only
-    the right-hand sides of the rating rows change."""
-    p_rhs, e_rhs = _ratings(net, plan, tech, units)
+             tech: StorageTech) -> lp_core.ArrayLP:
+    """``lp`` (built by :func:`build_ed`) at ``plan``: only the
+    right-hand sides of the rating rows change."""
+    p_rhs, e_rhs = _ratings(net, plan, tech)
     rhs = lp.rhs.copy()
     rhs[lp.rows["chcap"]] = p_rhs
     rhs[lp.rows["discap"]] = p_rhs
@@ -272,21 +266,20 @@ class DispatchSolution:
 
 
 def extract_solution(sol: lp_core.LPSolution, net: Network, day: TypicalDay,
-                     storage_buses: list[str], lp: lp_core.ArrayLP,
-                     units: list[str] | None = None) -> DispatchSolution:
+                     storage_buses: list[str], lp: lp_core.ArrayLP
+                     ) -> DispatchSolution:
     """Slice the dispatch, prices and rating duals out of ``sol`` using
     the index grids of ``lp`` (built by :func:`build_ed`).
 
-    ``units`` are the buses of ``lp``'s storage units (by default
-    ``storage_buses``); only the units at ``storage_buses`` are read.
+    Only the units at ``storage_buses``, the installed candidates, are
+    read; the others are zero-rated and report zeros.
     """
     x, y = sol.x, sol.duals
     cols, rows = lp.cols, lp.rows
     T, nb = day.n_hours, len(net.buses)
     bi = net.bus_index()
     store = [bi[b] for b in storage_buses]
-    units = storage_buses if units is None else units
-    read = [units.index(b) for b in storage_buses]
+    read = [net.candidate_buses.index(b) for b in storage_buses]
 
     def at_buses(values):
         out = np.zeros((T, nb))
@@ -329,29 +322,22 @@ def _first_infeasible_hour(net: Network, day: TypicalDay, plan: Plan,
 def solve_ed(net: Network, day: TypicalDay, plan: Plan,
              tech: StorageTech, starts: dict | None = None
              ) -> DispatchSolution:
-    """Dispatch one day; ``starts`` is passed on to :func:`lp_core.solve`.
-
-    With ``starts`` every candidate bus gets a storage unit, zero-rated
-    where nothing is installed, so the day's LP keeps one matrix from
-    plan to plan.  It is built once: a re-solve writes the plan's
-    ratings into the rating rows of the LP held in ``starts`` and HiGHS
-    re-solves its loaded model from there.  Without it only installed
-    buses get a unit, because zero-rated units make a cold solve slower.
-    """
-    installed = _installed_buses(net, plan)
+    """Dispatch one day; ``starts`` is the store of :func:`lp_core.solve`,
+    a fresh one when none is given.  The day's LP is built once per
+    store: a re-solve writes the plan's ratings into the LP held there
+    and HiGHS re-solves its loaded model."""
     if starts is None:
-        units = installed
-        lp = build_ed(net, day, plan, tech, units)
-    else:
-        units = list(net.candidate_buses)
-        lp = lp_core.held(starts, _name(day))
-        lp = (build_ed(net, day, plan, tech, units) if lp is None
-              else _rerated(lp, net, plan, tech, units))
+        starts = {}
+    installed = [b for b in net.candidate_buses
+                 if plan.power(b) > INSTALLED_EPS]
+    lp = lp_core.held(starts, _name(day))
+    lp = (build_ed(net, day, plan, tech) if lp is None
+          else _rerated(lp, net, plan, tech))
     sol = lp_core.solve(lp, starts)
     if sol.status != "optimal":
         raise DispatchInfeasibleError(day.day_id,
                                       _first_infeasible_hour(net, day, plan, tech))
-    return extract_solution(sol, net, day, installed, lp, units)
+    return extract_solution(sol, net, day, installed, lp)
 
 
 def is_held(starts: dict, day: TypicalDay) -> bool:

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispatch import DispatchInfeasibleError
-from .model import Generator, Line, Network, StorageTech, TypicalDay
+from .model import Generator, Line, Network, Plan, StorageTech, TypicalDay
+from .planner import dispatch_all
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,6 @@ def random_instance(seed: int, n_buses: int | None = None,
 
     # backstop: relax all line limits until the zero-storage dispatch of
     # every day is feasible (rare; congested pockets behind two hops)
-    from .dispatch import solve_ed  # local import to avoid a cycle
-    from .model import Plan
     for _ in range(8):
         lines = tuple(
             Line(f"l{k + 1}", buses[i], buses[j], line_x[k], line_caps[k])
@@ -229,8 +228,7 @@ def random_instance(seed: int, n_buses: int | None = None,
         )
         net = Network(buses, lines, gens, candidates)
         try:
-            for day in days:
-                solve_ed(net, day, Plan(), tech)
+            dispatch_all(net, days, Plan(), tech)
         except DispatchInfeasibleError:
             line_caps = [c * 1.5 for c in line_caps]
             continue

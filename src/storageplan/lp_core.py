@@ -322,7 +322,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
 class _Held:
     """An LP held loaded in a start store (see :func:`solve`)."""
 
-    lp: ArrayLP             # the LP last solved under this key
+    lp: ArrayLP             # the LP last solved under this name
     rows: tuple             # its ``<=`` rows, their signs and its ``=`` rows
     matrices: dict          # its ``A_ub``/``A_eq``
     model: Loaded
@@ -332,7 +332,8 @@ class _Held:
 def _same_matrix(a: ArrayLP, b: ArrayLP) -> bool:
     if a.A is b.A and a.sense is b.sense:
         return True
-    return (np.array_equal(a.sense, b.sense) and a.A.nnz == b.A.nnz
+    return (a.A.shape == b.A.shape and np.array_equal(a.sense, b.sense)
+            and a.A.nnz == b.A.nnz
             and all(np.array_equal(getattr(a.A, k), getattr(b.A, k))
                     for k in ("indptr", "indices", "data")))
 
@@ -355,8 +356,8 @@ def _split(lp: ArrayLP) -> tuple[tuple, dict]:
 
 def held(starts: dict, name: str) -> ArrayLP | None:
     """The LP last solved under ``name`` in the store ``starts``, if any."""
-    return next((h.lp for key, h in list(starts.items()) if key[0] == name),
-                None)
+    hold = starts.get(name)
+    return None if hold is None else hold.lp
 
 
 def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
@@ -365,28 +366,26 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     HiGHS receives the ``<=``/``>=`` rows, in model order and negated for
     ``>=``, as ``A_ub`` and the equality rows as ``A_eq``.
 
-    ``starts`` is a store of loaded models keyed by
-    ``(lp.name, n_vars, n_rows)``; it keeps the model of every optimal
-    solve.  When it holds a model for this key with ``lp``'s matrix, the
-    costs and bounds that differ are patched into that model and HiGHS
-    runs again from its basis: the LP is neither split nor loaded again.
-    Otherwise the LP is loaded and starts from the first-solve basis of
-    the first LP of its shape in the store, if any.  A started solve that
-    does not end optimal is repeated cold, so a start never changes an
-    outcome.  A caller that re-solves an LP keeps its matrix fixed (see
-    :func:`storageplan.dispatch.solve_ed`).
+    ``starts`` is a store of loaded models keyed by ``lp.name``; it keeps
+    the model of every optimal solve.  When it holds ``lp``'s matrix
+    under that name, the costs and bounds that differ are patched into
+    that model and HiGHS runs again from its basis: the LP is neither
+    split nor loaded again.  Otherwise the LP is loaded, from the
+    first-solve basis of the first held LP of its shape, if any.  A
+    started solve that does not end optimal is repeated cold, so a start
+    never changes an outcome.  A caller that re-solves an LP keeps its
+    matrix fixed (see :func:`storageplan.dispatch.solve_ed`).
     """
     if lp.n_vars == 0:
         raise LPError("no variables")
-    key = (lp.name, lp.n_vars, lp.n_rows)
     hold = seed = None
     if starts is not None:
-        hold = starts.get(key)
+        hold = starts.get(lp.name)
         if hold is not None and not _same_matrix(hold.lp, lp):
             hold = None
         if hold is None:
-            seed = next((h.basis for k, h in list(starts.items())
-                         if k[1:] == key[1:]), None)
+            seed = next((h.basis for h in list(starts.values())
+                         if h.lp.A.shape == lp.A.shape), None)
     rows, matrices = ((hold.rows, hold.matrices) if hold is not None
                       else _split(lp))
     ub_rows, sign, eq_rows = rows
@@ -403,14 +402,14 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
         res = linprog(lp.c, **kwargs)
     status = _STATUS.get(res.status)
     if status != "optimal" and starts is not None:
-        starts.pop(key, None)
+        starts.pop(lp.name, None)
     if status is None:
         raise LPError(f"solver failure on {lp.name}: {res.message}")
     if status != "optimal":
         return LPSolution(status=status)
     if starts is not None:
-        starts[key] = _Held(lp, rows, matrices, res.model,
-                            res.basis if hold is None else hold.basis)
+        starts[lp.name] = _Held(lp, rows, matrices, res.model,
+                                res.basis if hold is None else hold.basis)
 
     duals = np.zeros(lp.n_rows)
     duals[ub_rows] = sign * res.ineq_duals

@@ -69,18 +69,24 @@ def dispatch_all(net: Network, days: list[TypicalDay], plan: Plan,
                  starts: dict | None = None) -> dict[str, DispatchSolution]:
     """Solve every typical day; results keyed and reduced in day order.
 
-    ``starts`` holds each day's dispatch LP loaded in HiGHS (see
-    :func:`storageplan.dispatch.solve_ed`); a day loaded for the first
-    time starts from the first day's basis, so the first day is solved
-    before the pool starts and threads give the serial result bit for
-    bit.  Days have distinct LP names, so worker threads never share an
-    entry."""
+    ``starts`` (a fresh store when none is given) holds each day's
+    dispatch LP loaded in HiGHS (see :func:`~.dispatch.solve_ed`); a day
+    loaded for the first time starts from the first day's basis, so the
+    first day is solved before the pool starts and threads give the
+    serial result bit for bit.  Days have distinct LP names, so worker
+    threads never share an entry.  Every planning call dispatches here,
+    so this is where ``workers`` is checked."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if starts is None:
+        starts = {}
+
     def one(day):
         return solve_ed(net, day, plan, tech, starts=starts)
 
     if workers > 1:
         first = []
-        if starts is not None and days and not is_held(starts, days[0]):
+        if days and not is_held(starts, days[0]):
             first = [one(days[0])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             sols = first + list(pool.map(one, days[len(first):]))
@@ -103,17 +109,19 @@ def total_revenue(days: list[TypicalDay], sols: dict[str, DispatchSolution],
 
 def evaluate_plan(net: Network, days: list[TypicalDay], tech: StorageTech,
                   plan: Plan, workers: int = 1) -> PlanResult:
-    """Dispatch all days at a fixed plan; no optimization."""
+    """Dispatch all days at a fixed plan, then at the zero plan for the
+    baseline by re-rating the day LPs held from the first pass."""
     plan.check_ratio_bounds(tech)
     t0 = time.perf_counter()
-    sols = dispatch_all(net, days, plan, tech, workers)
+    starts: dict = {}
+    sols = dispatch_all(net, days, plan, tech, workers, starts)
     cost = _weighted_cost(days, sols, plan, tech)
     if plan.is_empty():
-        baseline_sols = sols
         baseline = cost
     else:
-        baseline_sols = dispatch_all(net, days, Plan(), tech, workers)
-        baseline = _weighted_cost(days, baseline_sols, Plan(), tech)
+        baseline = _weighted_cost(
+            days, dispatch_all(net, days, Plan(), tech, workers, starts),
+            Plan(), tech)
     ce = plan.investment_cost(tech)
     cr = total_revenue(days, sols, tech)
     return PlanResult(

@@ -114,9 +114,12 @@ def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
                ) -> tuple[float, float]:
     """Return (g0, rho0): marginal-unit net daily cost and its P/E ratio.
 
-    ``starts`` is passed on to :func:`lp_core.solve`; the LP held there
-    for ``bus`` is re-solved with the new prices' costs, not rebuilt."""
-    lp = None if starts is None else lp_core.held(starts, _name(bus))
+    ``starts`` is the store of :func:`lp_core.solve` (a fresh one when
+    none is given); the LP held there for ``bus`` is re-solved with the
+    new prices' costs, not rebuilt."""
+    if starts is None:
+        starts = {}
+    lp = lp_core.held(starts, _name(bus))
     if lp is None:
         lp = build_sgsp(days, prices, tech, bus)
     else:
@@ -139,6 +142,8 @@ def compute_subgradients(net: Network, days: list[TypicalDay],
                                     dict[str, str]]:
     """Subgradient pair and branch tag for every candidate bus; ``starts``
     holds the marginal-unit LPs loaded (see :func:`solve_sgsp`)."""
+    if starts is None:
+        starts = {}
     weights = {day.day_id: day.weight for day in days}
     grads = subgrad_installed(sols, weights, tech, plan)
     branch = {b: "BE" for b in grads}
@@ -178,11 +183,3 @@ def assemble_cut(net: Network, plan: Plan, sampled_cost: float,
         branch=tuple(branch[b] for b in buses),
     )
 
-
-def export_cut_table(cuts: list[Cut]) -> str:
-    """Cuts as tabular text for convergence diagnostics."""
-    lines = ["# iteration bus g_p g_e branch"]
-    for cut in cuts:
-        for b, gp, ge, br in zip(cut.buses, cut.g_p, cut.g_e, cut.branch):
-            lines.append(f"{cut.iteration} {b} {gp:.6f} {ge:.6f} {br}")
-    return "\n".join(lines) + "\n"

@@ -78,6 +78,14 @@ class TestPlanCommand:
         assert run(base_args("plan", m2_files, config=config)) == 1
         assert "max_outer must be at least 1" in capsys.readouterr().err
 
+    def test_zero_workers(self, m2_files, capsys):
+        assert run(base_args("plan", m2_files, workers="0")) == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+        config = m2_files["out"].parent / "run.cfg"
+        config.write_text("workers = 0\n")
+        assert run(base_args("plan", m2_files, config=config)) == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+
     def test_invalid_network_rejected(self, m2_files, capsys):
         text = m2_files["network"].read_text().replace("g1 b1", "g1 b9")
         m2_files["network"].write_text(text)
@@ -137,6 +145,11 @@ class TestDispatchCommand:
         assert f"{config}:2: unknown config entry" in capsys.readouterr().err
 
 
+    def test_negative_workers(self, m2_files, capsys):
+        assert run(base_args("dispatch", m2_files, workers="-2")) == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+
+
 class TestClusterCommand:
     def _profiles(self, tmp_path):
         lines = ["hour b1:demand b1:renewable"]
@@ -185,3 +198,8 @@ class TestBenchCommand:
 
     def test_bad_sizes(self, tmp_path, capsys):
         assert run(["bench", "--sizes", "0", "--out-dir", tmp_path]) == 1
+
+    def test_zero_epsilon(self, tmp_path, capsys):
+        assert run(["bench", "--sizes", "1", "--epsilon", "0",
+                    "--out-dir", tmp_path]) == 1
+        assert "epsilon must be in (0, 1)" in capsys.readouterr().err

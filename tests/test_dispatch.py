@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ class TestProblemSize:
         net, day = one_bus(
             [Generator("g1", "b1", 100.0, 0.0, 1e6, 1e6, 20.0, 0.0, 0.0)],
             [50.0] * 24)
-        lp = build_ed(net, day, Plan(), simple_tech())
+        lp = build_ed(replace(net, candidate_buses=()), day, Plan(),
+                      simple_tech())
         # per hour: p_g, r_gu, r_gd, spillage, angle
         assert lp.n_vars == 24 * 5
         assert lp.rows["bal"].size == 24
@@ -35,14 +38,16 @@ class TestProblemSize:
         assert lp.rows["rampup"].size + lp.rows["rampdn"].size == 2 * 23
 
     def test_storage_adds_five_vars_and_five_rows_per_hour(self):
+        """A candidate bus gets its unit whatever its rating."""
         net, day = one_bus(
             [Generator("g1", "b1", 100.0, 0.0, 1e6, 1e6, 20.0, 0.0, 0.0)],
             [50.0] * 24)
         tech = simple_tech()
-        base = build_ed(net, day, Plan(), tech)
-        with_es = build_ed(net, day, Plan({"b1": (5.0, 5.0)}), tech)
-        assert with_es.n_vars - base.n_vars == 24 * 5
-        assert with_es.n_rows - base.n_rows == 24 * 5
+        base = build_ed(replace(net, candidate_buses=()), day, Plan(), tech)
+        for plan in (Plan(), Plan({"b1": (5.0, 5.0)})):
+            with_es = build_ed(net, day, plan, tech)
+            assert with_es.n_vars - base.n_vars == 24 * 5
+            assert with_es.n_rows - base.n_rows == 24 * 5
 
 
 class TestBasicDispatch:
@@ -106,9 +111,9 @@ class TestBasicDispatch:
 
 
 class TestFullShape:
-    """With a start store every candidate bus gets a storage unit, rated
-    exactly zero where nothing is installed, and the solution keeps the
-    one-off dispatch's contract."""
+    """Every candidate bus gets a storage unit, rated exactly zero where
+    nothing is installed, and the solution matches the dispatch of a
+    network whose only candidates are the installed buses."""
 
     def test_matches_one_off_dispatch(self, rand_instance):
         inst = rand_instance(1, n_buses=10, n_days=2)
@@ -116,19 +121,21 @@ class TestFullShape:
         cands = list(net.candidate_buses)
         # one unit installed, one below INSTALLED_EPS, the rest empty
         plan = Plan({cands[0]: (2.0, 4.0), cands[1]: (5e-5, 1e-4)})
+        ref_net = replace(net, candidate_buses=tuple(cands[:1]))
+        ref_plan = Plan({cands[0]: (2.0, 4.0)})
         bi = net.bus_index()
         empty = [bi[b] for b in cands[1:]]
         for day in inst.days:
-            lp = build_ed(net, day, plan, tech, cands)
-            assert lp.n_vars - build_ed(net, day, plan, tech).n_vars \
+            lp = build_ed(net, day, plan, tech)
+            assert lp.n_vars - build_ed(ref_net, day, ref_plan, tech).n_vars \
                 == 5 * day.n_hours * (len(cands) - 1)
             for kind, rating in (("chcap", 2.0), ("socmax", 4.0)):
                 rhs = lp.rhs[lp.rows[kind]]
                 assert (rhs[:, 0] == rating).all()
                 assert (rhs[:, 1:] == 0.0).all()
 
-            one_off = solve_ed(net, day, plan, tech)
-            full = solve_ed(net, day, plan, tech, starts={})
+            one_off = solve_ed(ref_net, day, ref_plan, tech)
+            full = solve_ed(net, day, plan, tech)
             assert full.cost == pytest.approx(one_off.cost, rel=1e-9)
             assert full.storage_buses == one_off.storage_buses == cands[:1]
             for name in ("p_ch", "p_dis", "r_eu", "r_ed", "e_soc", "phi_ch",
@@ -153,7 +160,8 @@ class TestSolutionInvariants:
     def test_lp_feasibility_and_complementarity(self, solved):
         inst, plan, day, _ = solved
         lp = build_ed(inst.net, day, plan, inst.tech)
-        assert lp.rows["chcap"].size == day.n_hours
+        assert lp.rows["chcap"].size \
+            == day.n_hours * len(inst.net.candidate_buses)
         sol = lp_core.solve(lp)
         assert lp_core.max_constraint_violation(sol, lp) <= lp_core.FEAS_TOL
         assert lp_core.max_complementarity_violation(sol, lp) \

@@ -51,6 +51,38 @@ class TestEvaluatePlan:
         with pytest.raises(ValueError, match="bus b1"):
             evaluate_plan(m2.net, m2.days, m2.tech, Plan({"b1": (9.0, 1.0)}))
 
+    def test_one_cold_dispatch(self, rand_instance, monkeypatch):
+        """The plan pass and the baseline pass share the held day LPs:
+        only the first day's first load runs HiGHS without a start."""
+        inst = rand_instance(1, n_buses=10, n_days=5)
+        plan = Plan({b: (2.0, 4.0) for b in inst.net.candidate_buses})
+        res, cold = count_cold_dispatch(
+            monkeypatch, evaluate_plan, inst.net, inst.days, inst.tech, plan)
+        assert res.baseline_cost != res.system_cost
+        assert cold == 1
+
+    def test_parallel_matches_serial(self, rand_instance):
+        inst = rand_instance(1, n_buses=10, n_days=5)
+        plan = Plan({b: (2.0, 4.0) for b in inst.net.candidate_buses})
+        a = evaluate_plan(inst.net, inst.days, inst.tech, plan, workers=1)
+        b = evaluate_plan(inst.net, inst.days, inst.tech, plan, workers=2)
+        assert (a.system_cost, a.baseline_cost, a.revenue) \
+            == (b.system_cost, b.baseline_cost, b.revenue)
+        assert a.day_costs == b.day_costs
+        for d in inst.days:
+            assert np.array_equal(a.solutions[d.day_id].lmp,
+                                  b.solutions[d.day_id].lmp)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_rejected(m2, workers):
+    for fn, args in ((dispatch_all, (m2.net, m2.days, Plan(), m2.tech)),
+                     (evaluate_plan, (m2.net, m2.days, m2.tech, Plan())),
+                     (inner_loop, (m2.net, m2.days, m2.tech, None)),
+                     (outer_loop, (m2.net, m2.days, m2.tech, 1.0))):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            fn(*args, workers=workers)
+
 
 class TestInnerLoop:
     def test_worthless_storage_builds_nothing(self, m1):
@@ -118,8 +150,7 @@ class TestInnerLoop:
         finally:
             sys.setswitchinterval(old)
         assert serial.keys() == threaded.keys()
-        assert {k[0] for k in threaded} == {f"ed[{d.day_id}]"
-                                           for d in inst.days}
+        assert set(threaded) == {f"ed[{d.day_id}]" for d in inst.days}
         for d in inst.days:
             assert a[d.day_id].cost == b[d.day_id].cost
             assert np.array_equal(a[d.day_id].lmp, b[d.day_id].lmp)

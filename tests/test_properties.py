@@ -1,11 +1,17 @@
 """Property tests on small generated networks: the decomposition agrees
-with the monolithic oracle, and threads do not change its result."""
+with the monolithic oracle, threads do not change its result, and a
+fixed plan's held-model dispatch costs what cold solves cost."""
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from storageplan import instances, oracle
-from storageplan.planner import inner_loop
+from storageplan import instances, lp_core, oracle
+from storageplan.dispatch import build_ed
+from storageplan.model import Plan
+from storageplan.planner import evaluate_plan, inner_loop
 
 EPSILON = 0.05
 LB_TOL = 1e-6     # relative slack on "lower bound <= oracle optimum"
@@ -39,6 +45,38 @@ def test_inner_loop_agrees_with_oracle(inst):
         == (res.system_cost, res.lower_bound)
     assert threaded.iterations == res.iterations
     assert threaded.cuts == res.cuts
+
+
+def _cold_day_costs(inst, plan: Plan) -> dict[str, float]:
+    """Each day's cost solved cold, with units only at ``plan``'s buses."""
+    net = replace(inst.net, candidate_buses=tuple(plan.ratings))
+    return {day.day_id: lp_core.solve(build_ed(net, day, plan, inst.tech))
+            .objective for day in inst.days}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(inst=small_instances, data=st.data())
+def test_evaluate_matches_cold_dispatch(inst, data):
+    tech = inst.tech
+    ratings = {}
+    for b in inst.net.candidate_buses:
+        if data.draw(st.booleans()):
+            energy = data.draw(st.floats(0.5, 20.0))
+            rho = data.draw(st.floats(tech.rho_min, tech.rho_max))
+            ratings[b] = (rho * energy, energy)
+    plan = Plan(ratings)
+    res = evaluate_plan(inst.net, inst.days, tech, plan)
+
+    def total(costs, at):
+        return sum(day.weight * costs[day.day_id] for day in inst.days) \
+            + at.investment_cost(tech)
+
+    costs = _cold_day_costs(inst, plan)
+    assert res.day_costs == pytest.approx(costs, rel=1e-9)
+    assert res.system_cost == pytest.approx(total(costs, plan), rel=1e-9)
+    assert res.baseline_cost == pytest.approx(
+        total(_cold_day_costs(inst, Plan()), Plan()), rel=1e-9)
 
 
 def test_three_bus_instances_build():

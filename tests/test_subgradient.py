@@ -7,9 +7,8 @@ from storageplan.dispatch import solve_ed, storage_revenue
 from storageplan.model import Plan
 from storageplan.planner import evaluate_plan
 from storageplan.subgradient import (assemble_cut, compute_subgradients,
-                                     export_cut_table, revenue_identity,
-                                     solve_sgsp, split_subgradient,
-                                     subgrad_installed)
+                                     revenue_identity, solve_sgsp,
+                                     split_subgradient, subgrad_installed)
 
 
 def dispatch_map(inst, plan):
@@ -153,11 +152,12 @@ class TestCut:
         with pytest.raises(ValueError, match="missing subgradient"):
             assemble_cut(m2.net, Plan(), 2100.0, {}, {}, 0)
 
-    def test_export(self, m2):
+    def test_zero_plan_cut_entries(self, m2):
         zero = Plan()
         sols = dispatch_map(m2, zero)
         grads, branch = compute_subgradients(m2.net, m2.days, sols, zero,
                                              m2.tech)
         cut = assemble_cut(m2.net, zero, 2100.0, grads, branch, 0)
-        table = export_cut_table([cut])
-        assert "0 b1 -19.000000 -19.000000 BN" in table
+        assert (cut.iteration, cut.buses, cut.branch) == (0, ("b1",), ("BN",))
+        assert cut.g_p == (pytest.approx(-19.0, abs=5e-7),)
+        assert cut.g_e == (pytest.approx(-19.0, abs=5e-7),)
