@@ -51,7 +51,7 @@ def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         cfg = datafiles.parse_config(_load_text(args.config), args.config)
-    for key in ("epsilon", "chi", "workers", "seed"):
+    for key in ("epsilon", "chi", "workers"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -72,15 +72,11 @@ def _write(out_dir: str, name: str, body: str, stamp: bool = True):
 def cmd_plan(args) -> int:
     net, days, tech = _load_case(args)
     cfg = _load_config(args)
-    epsilon = cfg.get("epsilon", 0.05)
-    if not (0 < epsilon < 1):
-        print("error: epsilon must be in (0, 1)", file=sys.stderr)
-        return EXIT_BAD_INPUT
     result = planner.outer_loop(
         net, days, tech, chi=cfg.get("chi", 1.0),
         budget_init=cfg.get("budget_max"),
         budget_min=cfg.get("budget_min"),
-        epsilon=epsilon, max_outer=cfg.get("max_outer", 20),
+        epsilon=cfg.get("epsilon", 0.05), max_outer=cfg.get("max_outer", 20),
         max_iter=cfg.get("max_iter", 150), workers=cfg.get("workers", 1),
     )
     _write(args.out_dir, "report.txt", planner.format_report(result))

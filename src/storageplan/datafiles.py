@@ -135,10 +135,20 @@ def parse_days(text: str, path: str = "<days>") -> list[TypicalDay]:
             toks = line.replace("=", " ").split()
             if len(toks) != 2 or toks[0] not in _DAY_SCALARS:
                 raise ParseError(path, lineno, f"bad day attribute: {line!r}")
-            current[toks[0]] = _num(toks[1], path, lineno)
+            key, val = toks[0], _num(toks[1], path, lineno)
+            if key in current:
+                raise ParseError(path, lineno,
+                                 f"repeated day attribute {key!r}")
+            if key == "n_hours" and not val.is_integer():
+                raise ParseError(path, lineno, f"n_hours must be an integer: "
+                                               f"{toks[1]!r}")
+            current[key] = val
         else:
             toks = line.split()
             bus, vals = toks[0], [_num(t, path, lineno) for t in toks[1:]]
+            if bus in current[section]:
+                raise ParseError(path, lineno,
+                                 f"repeated [{section}] row for bus {bus!r}")
             current[section][bus] = tuple(vals)
     close()
     if not days:
@@ -204,6 +214,9 @@ def parse_plan(text: str, path: str = "<plan>") -> Plan:
         toks = line.split()
         if len(toks) != 3:
             raise ParseError(path, lineno, "plan row needs: bus p_r e_r")
+        if toks[0] in ratings:
+            raise ParseError(path, lineno,
+                             f"repeated plan row for bus {toks[0]!r}")
         ratings[toks[0]] = (_num(toks[1], path, lineno),
                            _num(toks[2], path, lineno))
     return Plan(ratings)

@@ -37,37 +37,31 @@ STORAGE_ROWS = ("soc", "chcap", "discap", "socmax", "socmin")
 
 
 def add_storage_block(lp: LPBuilder, x: np.ndarray, r: np.ndarray,
-                      tech: StorageTech, p_rhs=0.0, e_rhs=0.0,
-                      p_col=None, e_col=None) -> None:
+                      tech: StorageTech, p_col, e_col) -> None:
     """State-of-charge and rating rows of storage units.
 
     ``x`` and ``r`` are ``[hour, unit, 5]`` grids of the units' columns
     (:data:`STORAGE_COLS`) and rows (:data:`STORAGE_ROWS`).  The power
-    rating enters the charge/discharge capacity rows as the constant
-    ``p_rhs`` or, when ``p_col`` is given, as that column; the energy
-    rating likewise through ``e_rhs``/``e_col``.  The state of charge
-    starts at zero and its column is free: nonnegativity is the socmin
-    row, which keeps the dual recursion clean.
+    and energy rating columns ``p_col``/``e_col`` (per unit, or shared)
+    enter the capacity rows with coefficient -1 and a zero rhs.  The
+    state of charge starts at zero and its column is free: nonnegativity
+    is the socmin row, which keeps the dual recursion clean.
     """
     pch, pdis, reu, red, esoc = (x[..., k] for k in range(5))
     soc, chcap, discap, socmax, socmin = (r[..., k] for k in range(5))
     lp.lb[esoc] = -np.inf
     lp.set_rows(soc, EQ, 0.0, (esoc, 1.0), (pch, -1.0), (pdis, 1.0))
     lp.add_terms(soc[1:], esoc[:-1], -1.0)
-    lp.set_rows(chcap, LE, p_rhs, (pch, 1.0), (red, 1.0))
-    lp.set_rows(discap, LE, p_rhs, (pdis, 1.0), (reu, 1.0))
-    lp.set_rows(socmax, LE, e_rhs, (esoc, 1.0), (red, tech.t_es))
-    if p_col is not None:
-        lp.add_terms(chcap, p_col, -1.0)
-        lp.add_terms(discap, p_col, -1.0)
-    if e_col is not None:
-        lp.add_terms(socmax, e_col, -1.0)
+    lp.set_rows(chcap, LE, 0.0, (pch, 1.0), (red, 1.0), (p_col, -1.0))
+    lp.set_rows(discap, LE, 0.0, (pdis, 1.0), (reu, 1.0), (p_col, -1.0))
+    lp.set_rows(socmax, LE, 0.0, (esoc, 1.0), (red, tech.t_es),
+                (e_col, -1.0))
     lp.set_rows(socmin, GE, 0.0, (esoc, 1.0), (reu, -tech.t_es))
 
 
 def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
                   tech: StorageTech, storage_buses: list[str],
-                  weight: float = 1.0, **ratings
+                  p_col: np.ndarray, e_col: np.ndarray, weight: float = 1.0
                   ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Append one day's dispatch columns and rows to ``lp``.
 
@@ -77,8 +71,9 @@ def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
     regup, regdn, (gmax, gmin, rampup, rampdn) per generator (no ramp
     rows in the first hour), flow per line and :data:`STORAGE_ROWS` per
     storage bus.  Objective coefficients are scaled by ``weight``;
-    ``ratings`` are passed on to :func:`add_storage_block`.  Returns the
-    ``[hour, entity]`` index grids of every column and row kind.
+    ``p_col``/``e_col``, the storage buses' rating columns, go to
+    :func:`add_storage_block`.  Returns the ``[hour, entity]`` index
+    grids of every column and row kind.
     """
     T = day.n_hours
     gens, lines = net.generators, net.lines
@@ -176,38 +171,38 @@ def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
                 (th[:, from_bus], -1.0 / reactance),
                 (th[:, to_bus], 1.0 / reactance))
 
-    add_storage_block(lp, xs, rs, tech, **ratings)
+    add_storage_block(lp, xs, rs, tech, p_col, e_col)
     return cols, rows
 
 
-def _ratings(net: Network, plan: Plan, tech: StorageTech
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Checked power and energy ratings of the candidate buses, exactly
-    zero where nothing is installed."""
+def _ratings(net: Network, plan: Plan, tech: StorageTech) -> np.ndarray:
+    """Checked ``[candidate, (power, energy)]`` ratings, exactly zero
+    where nothing is installed."""
     plan.check_ratio_bounds(tech)
     for b in plan.ratings:
         if b not in net.candidate_buses:
             raise ValueError(f"plan bus {b} is not a storage candidate")
-    p = np.array([plan.power(b) for b in net.candidate_buses], dtype=float)
-    e = np.array([plan.energy(b) for b in net.candidate_buses], dtype=float)
-    on = p > INSTALLED_EPS
-    return np.where(on, p, 0.0), np.where(on, e, 0.0)
+    pe = np.array([(plan.power(b), plan.energy(b))
+                   for b in net.candidate_buses], dtype=float).reshape(-1, 2)
+    return np.where(pe[:, :1] > INSTALLED_EPS, pe, 0.0)
 
 
 def build_ed(net: Network, day: TypicalDay, plan: Plan, tech: StorageTech
              ) -> lp_core.ArrayLP:
     """The economic-dispatch LP for one typical day at a fixed plan.
 
-    Every candidate bus gets a storage unit, rated exactly zero where
-    nothing is installed, so a day's LP has one matrix whatever the plan
-    and only the right-hand sides of its rating rows depend on it.
+    Every candidate bus gets a storage unit.  Its ratings are columns, a
+    ``[candidate, (p, e)]`` grid ``cols["rating"]`` fixed at the plan's
+    ratings (exactly zero where nothing is installed), so a day's rows
+    are the same whatever the plan and only those bounds depend on it.
     """
-    p_rhs, e_rhs = _ratings(net, plan, tech)
     lp = LPBuilder(name=_name(day))
+    rating = lp.add_cols((len(net.candidate_buses), 2))
     lp.cols, lp.rows = add_day_block(lp, net, day, tech,
                                      list(net.candidate_buses),
-                                     p_rhs=p_rhs, e_rhs=e_rhs)
-    return lp.build()
+                                     rating[:, 0], rating[:, 1])
+    lp.cols["rating"] = rating
+    return _rerated(lp.build(), net, plan, tech)
 
 
 def _name(day: TypicalDay) -> str:
@@ -216,14 +211,12 @@ def _name(day: TypicalDay) -> str:
 
 def _rerated(lp: lp_core.ArrayLP, net: Network, plan: Plan,
              tech: StorageTech) -> lp_core.ArrayLP:
-    """``lp`` (built by :func:`build_ed`) at ``plan``: only the
-    right-hand sides of the rating rows change."""
-    p_rhs, e_rhs = _ratings(net, plan, tech)
-    rhs = lp.rhs.copy()
-    rhs[lp.rows["chcap"]] = p_rhs
-    rhs[lp.rows["discap"]] = p_rhs
-    rhs[lp.rows["socmax"]] = e_rhs
-    return replace(lp, rhs=rhs)
+    """``lp`` (built by :func:`build_ed`) with its rating columns fixed at
+    ``plan``'s ratings; its rows are shared, not copied."""
+    rating = lp.cols["rating"]
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    lb[rating] = ub[rating] = _ratings(net, plan, tech)
+    return replace(lp, lb=lb, ub=ub)
 
 
 @dataclass
@@ -266,20 +259,20 @@ class DispatchSolution:
 
 
 def extract_solution(sol: lp_core.LPSolution, net: Network, day: TypicalDay,
-                     storage_buses: list[str], lp: lp_core.ArrayLP
-                     ) -> DispatchSolution:
+                     lp: lp_core.ArrayLP) -> DispatchSolution:
     """Slice the dispatch, prices and rating duals out of ``sol`` using
     the index grids of ``lp`` (built by :func:`build_ed`).
 
-    Only the units at ``storage_buses``, the installed candidates, are
-    read; the others are zero-rated and report zeros.
+    Only installed units (a positive power rating bound) are read; the
+    others are zero-rated and report zeros.
     """
     x, y = sol.x, sol.duals
     cols, rows = lp.cols, lp.rows
     T, nb = day.n_hours, len(net.buses)
+    read = np.flatnonzero(lp.ub[cols["rating"][:, 0]] > 0)
+    storage_buses = [net.candidate_buses[k] for k in read]
     bi = net.bus_index()
     store = [bi[b] for b in storage_buses]
-    read = [net.candidate_buses.index(b) for b in storage_buses]
 
     def at_buses(values):
         out = np.zeros((T, nb))
@@ -298,7 +291,7 @@ def extract_solution(sol: lp_core.LPSolution, net: Network, day: TypicalDay,
         phi_ch=at_buses(y[rows["chcap"]]), phi_dis=at_buses(y[rows["discap"]]),
         phi_soc=at_buses(y[rows["socmax"]]),
         psi_soc=at_buses(y[rows["socmin"]]), gamma_e=at_buses(y[rows["soc"]]),
-        storage_buses=list(storage_buses),
+        storage_buses=storage_buses,
     )
 
 
@@ -324,12 +317,10 @@ def solve_ed(net: Network, day: TypicalDay, plan: Plan,
              ) -> DispatchSolution:
     """Dispatch one day; ``starts`` is the store of :func:`lp_core.solve`,
     a fresh one when none is given.  The day's LP is built once per
-    store: a re-solve writes the plan's ratings into the LP held there
-    and HiGHS re-solves its loaded model."""
+    store: a re-solve fixes the rating columns of the LP held there at
+    the plan's ratings and HiGHS re-solves its loaded model."""
     if starts is None:
         starts = {}
-    installed = [b for b in net.candidate_buses
-                 if plan.power(b) > INSTALLED_EPS]
     lp = lp_core.held(starts, _name(day))
     lp = (build_ed(net, day, plan, tech) if lp is None
           else _rerated(lp, net, plan, tech))
@@ -337,7 +328,7 @@ def solve_ed(net: Network, day: TypicalDay, plan: Plan,
     if sol.status != "optimal":
         raise DispatchInfeasibleError(day.day_id,
                                       _first_infeasible_hour(net, day, plan, tech))
-    return extract_solution(sol, net, day, installed, lp)
+    return extract_solution(sol, net, day, lp)
 
 
 def is_held(starts: dict, day: TypicalDay) -> bool:

@@ -16,14 +16,14 @@ dual sign convention used throughout the package:
   (nonnegative at a lower bound, nonpositive at an upper bound).
 
 An LP that is solved again and again (a day's dispatch, a marginal-unit
-LP) stays loaded in HiGHS between solves: a re-solve patches only the
-bounds and costs that changed and runs again from the model's own basis
-and factorization, and an LP's first load starts from the basis of an
-earlier LP of the same shape (see :func:`solve`).  Starts change only
-the simplex path, never the model, so the optimum is the same up to the
-choice among degenerate optimal vertices.  HiGHS is deterministic for
-identical input and start, so repeated solves return bit-identical
-solutions.
+LP) stays loaded in HiGHS between solves with its rows fixed: a
+re-solve patches only the costs and column bounds that changed and runs
+again from the model's own basis and factorization, and an LP's first
+load starts from the basis of an earlier LP of the same shape (see
+:func:`solve`).  Starts change only the simplex path, never the model,
+so the optimum is the same up to the choice among degenerate optimal
+vertices.  HiGHS is deterministic for identical input and start, so
+repeated solves return bit-identical solutions.
 """
 
 from __future__ import annotations
@@ -192,18 +192,17 @@ _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 @dataclass
 class Loaded:
-    """A HiGHS model kept for re-solves, with the arrays it holds (in
-    :func:`linprog`'s terms: infinities clipped, ``A_ub`` rows first)."""
+    """A HiGHS model kept for re-solves, with the costs and column bounds
+    it holds (in :func:`linprog`'s terms: infinities clipped).  Its rows
+    never change: an LP with other rows is loaded afresh."""
 
     highs: _Highs
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray
 
-    def patch(self, c, lb, ub, row_lower, row_upper):
-        """Change the costs, column bounds and row bounds that differ."""
+    def patch(self, c, lb, ub):
+        """Change the costs and column bounds that differ."""
         highs = self.highs
         cols = np.flatnonzero(c != self.c).astype(np.int32)
         if cols.size:
@@ -212,11 +211,7 @@ class Loaded:
                               ).astype(np.int32)
         if cols.size:
             highs.changeColsBounds(cols.size, cols, lb[cols], ub[cols])
-        for i in np.flatnonzero((row_lower != self.row_lower)
-                                | (row_upper != self.row_upper)).tolist():
-            highs.changeRowBounds(i, row_lower[i], row_upper[i])
         self.c, self.lb, self.ub = c, lb, ub
-        self.row_lower, self.row_upper = row_lower, row_upper
 
 
 @dataclass
@@ -257,23 +252,23 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     LP of the same shape) the dual simplex starts from it and skips
     presolve; a basis HiGHS rejects leaves the solve cold.
 
-    With ``model`` (the ``model`` of an earlier result whose matrix is
-    ``A_ub`` over ``A_eq``) nothing is loaded: the costs and bounds that
-    differ are patched into it and HiGHS runs again from its own basis
-    and factorization.
+    With ``model`` (the ``model`` of an earlier result whose rows are
+    ``A_ub``/``b_ub`` over ``A_eq``/``b_eq``) nothing is loaded: the
+    costs and column bounds that differ are patched into it and HiGHS
+    runs again from its own basis and factorization.
     """
     n = c.size
     b_ub = np.empty(0) if b_ub is None else b_ub
     b_eq = np.empty(0) if b_eq is None else b_eq
     inf = _highs.kHighsInf
     lb, ub = np.clip(bounds, -inf, inf).T.copy()
-    row_lower = np.concatenate((np.full(b_ub.size, -inf), b_eq))
-    row_upper = np.clip(np.concatenate((b_ub, b_eq)), -inf, inf)
 
     if model is not None:
-        model.patch(c.copy(), lb, ub, row_lower, row_upper)
+        model.patch(c.copy(), lb, ub)
         highs = model.highs
     else:
+        row_lower = np.concatenate((np.full(b_ub.size, -inf), b_eq))
+        row_upper = np.clip(np.concatenate((b_ub, b_eq)), -inf, inf)
         mats = [m for m in (A_ub, A_eq) if m is not None]
         A = csc_array(vstack(mats)) if mats else csc_array((0, n))
         highs = _Highs()
@@ -288,7 +283,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
                                highs.modelStatusToString(_MS.kModelError), 0)
         if basis is not None:
             highs.setBasis(basis)
-        model = Loaded(highs, c.copy(), lb, ub, row_lower, row_upper)
+        model = Loaded(highs, c.copy(), lb, ub)
     highs.run()
     model_status = highs.getModelStatus()
     info = highs.getInfo()
@@ -324,34 +319,37 @@ class _Held:
 
     lp: ArrayLP             # the LP last solved under this name
     rows: tuple             # its ``<=`` rows, their signs and its ``=`` rows
-    matrices: dict          # its ``A_ub``/``A_eq``
+    arrays: dict            # its ``A_ub``/``b_ub``/``A_eq``/``b_eq``
     model: Loaded
     basis: object           # the basis of its first solve: a seed
 
 
-def _same_matrix(a: ArrayLP, b: ArrayLP) -> bool:
-    if a.A is b.A and a.sense is b.sense:
+def _same_rows(a: ArrayLP, b: ArrayLP) -> bool:
+    """Whether ``a`` and ``b`` have the same matrix, row senses and
+    right-hand sides: shared arrays first, then equal values."""
+    if a.A is b.A and a.sense is b.sense and a.rhs is b.rhs:
         return True
-    return (a.A.shape == b.A.shape and np.array_equal(a.sense, b.sense)
-            and a.A.nnz == b.A.nnz
+    return (a.A.shape == b.A.shape and a.A.nnz == b.A.nnz
+            and np.array_equal(a.sense, b.sense)
+            and np.array_equal(a.rhs, b.rhs)
             and all(np.array_equal(getattr(a.A, k), getattr(b.A, k))
                     for k in ("indptr", "indices", "data")))
 
 
 def _split(lp: ArrayLP) -> tuple[tuple, dict]:
-    """The ``<=``/``>=`` rows, negated for ``>=``, as ``A_ub`` and the
-    equality rows as ``A_eq``."""
+    """The ``<=``/``>=`` rows, negated for ``>=``, as ``A_ub``/``b_ub``
+    and the equality rows as ``A_eq``/``b_eq``."""
     ub_rows = np.flatnonzero(lp.sense != 0)
     eq_rows = np.flatnonzero(lp.sense == 0)
     sign = lp.sense[ub_rows].astype(float)
-    matrices = {}
+    arrays = {}
     if ub_rows.size:
         A_ub = lp.A[ub_rows]
         A_ub.data = A_ub.data * np.repeat(sign, np.diff(A_ub.indptr))
-        matrices["A_ub"] = A_ub
+        arrays["A_ub"], arrays["b_ub"] = A_ub, sign * lp.rhs[ub_rows]
     if eq_rows.size:
-        matrices["A_eq"] = lp.A[eq_rows]
-    return (ub_rows, sign, eq_rows), matrices
+        arrays["A_eq"], arrays["b_eq"] = lp.A[eq_rows], lp.rhs[eq_rows]
+    return (ub_rows, sign, eq_rows), arrays
 
 
 def held(starts: dict, name: str) -> ArrayLP | None:
@@ -367,33 +365,31 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     ``>=``, as ``A_ub`` and the equality rows as ``A_eq``.
 
     ``starts`` is a store of loaded models keyed by ``lp.name``; it keeps
-    the model of every optimal solve.  When it holds ``lp``'s matrix
-    under that name, the costs and bounds that differ are patched into
-    that model and HiGHS runs again from its basis: the LP is neither
-    split nor loaded again.  Otherwise the LP is loaded, from the
+    the model of every optimal solve.  A held model keeps its rows: when
+    the store holds ``lp``'s rows (matrix, senses and rhs) under that
+    name, the costs and column bounds that differ are patched into that
+    model and HiGHS runs again from its basis: the LP is neither split
+    nor loaded again.  Otherwise the LP is loaded, from the
     first-solve basis of the first held LP of its shape, if any.  A
     started solve that does not end optimal is repeated cold, so a start
     never changes an outcome.  A caller that re-solves an LP keeps its
-    matrix fixed (see :func:`storageplan.dispatch.solve_ed`).
+    rows fixed and changes only costs and bounds (see
+    :func:`storageplan.dispatch.solve_ed`).
     """
     if lp.n_vars == 0:
         raise LPError("no variables")
     hold = seed = None
     if starts is not None:
         hold = starts.get(lp.name)
-        if hold is not None and not _same_matrix(hold.lp, lp):
+        if hold is not None and not _same_rows(hold.lp, lp):
             hold = None
         if hold is None:
             seed = next((h.basis for h in list(starts.values())
                          if h.lp.A.shape == lp.A.shape), None)
-    rows, matrices = ((hold.rows, hold.matrices) if hold is not None
-                      else _split(lp))
+    rows, arrays = ((hold.rows, hold.arrays) if hold is not None
+                    else _split(lp))
     ub_rows, sign, eq_rows = rows
-    kwargs = dict(matrices, bounds=np.column_stack((lp.lb, lp.ub)))
-    if ub_rows.size:
-        kwargs["b_ub"] = sign * lp.rhs[ub_rows]
-    if eq_rows.size:
-        kwargs["b_eq"] = lp.rhs[eq_rows]
+    kwargs = dict(arrays, bounds=np.column_stack((lp.lb, lp.ub)))
 
     start = ({"model": hold.model} if hold is not None
              else {"basis": seed} if seed is not None else {})
@@ -408,7 +404,7 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     if status != "optimal":
         return LPSolution(status=status)
     if starts is not None:
-        starts[lp.name] = _Held(lp, rows, matrices, res.model,
+        starts[lp.name] = _Held(lp, rows, arrays, res.model,
                                 res.basis if hold is None else hold.basis)
 
     duals = np.zeros(lp.n_rows)

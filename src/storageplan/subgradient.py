@@ -70,7 +70,7 @@ def _name(bus: str) -> str:
 def _sgsp_costs(days: list[TypicalDay], prices: dict[str, DispatchSolution],
                 tech: StorageTech, bus: str) -> np.ndarray:
     """Objective of :func:`build_sgsp`'s LP at ``prices``."""
-    blocks = [np.array([tech.c_p])]
+    blocks = [np.array([tech.c_p, 0.0])]
     for day in days:
         sol = prices[day.day_id]
         w = day.weight
@@ -89,21 +89,22 @@ def build_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
     """Price-taker LP for a marginal 1 MWh unit at ``bus``.
 
     Columns are the unit's power/energy ratio rho (the power rating,
-    since the energy rating is normalized to 1 MWh) followed by its
-    dispatch over every typical day, hour by hour in
+    since the energy rating is normalized to 1 MWh), its energy rating,
+    a column fixed at 1 at no cost, and then its dispatch over every
+    typical day, hour by hour in
     :data:`~storageplan.dispatch.STORAGE_COLS` order.  Prices are frozen
     at the current iteration's duals; they enter the objective only.
     The optimal objective is the net daily cost of the unit excluding
     the energy-capital constant ``c_e``.
     """
     lp = LPBuilder(name=_name(bus))
-    rho = lp.add_cols(())
+    rho, energy = lp.add_cols(2)
     lp.lb[rho] = tech.rho_min
     lp.ub[rho] = tech.rho_max
+    lp.lb[energy] = lp.ub[energy] = 1.0
     for day in days:
         x = lp.add_cols((day.n_hours, 1, 5))
-        add_storage_block(lp, x, lp.add_rows(x.shape), tech, p_col=rho,
-                          e_rhs=1.0)
+        add_storage_block(lp, x, lp.add_rows(x.shape), tech, rho, energy)
     lp.c = _sgsp_costs(days, prices, tech, bus)
     lp.cols = {"rho": rho}
     return lp.build()

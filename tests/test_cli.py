@@ -101,6 +101,14 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "revenue = 320.000000" in out
 
+    def test_repeated_plan_row(self, m2_files, capsys):
+        m2_files["plan"].write_text("b1 8 8\nb1 3 4\n")
+        args = base_args("evaluate", m2_files) + \
+            ["--plan", str(m2_files["plan"])]
+        assert run(args) == 1
+        assert f"{m2_files['plan']}:2: repeated plan row for bus 'b1'" \
+            in capsys.readouterr().err
+
     def test_infeasible_dispatch_exit_code(self, m2_files, capsys):
         # demand beyond total generating capacity
         text = m2_files["days"].read_text().replace("80.0", "500.0")

@@ -75,6 +75,27 @@ class TestDaysRoundTrip:
         with pytest.raises(ParseError, match="bad day attribute"):
             parse_days("[day d1]\ncolor = blue\n")
 
+    def test_fractional_hours_rejected(self):
+        assert parse_days("[day d1]\nn_hours = 2.0\n")[0].n_hours == 2
+        with pytest.raises(ParseError, match="<days>:3: n_hours must be an "
+                                             "integer: '2.5'"):
+            parse_days("[day d1]\nweight = 1\nn_hours = 2.5\n")
+
+    def test_repeated_attribute_rejected(self):
+        with pytest.raises(ParseError,
+                           match="<days>:3: repeated day attribute 'weight'"):
+            parse_days("[day d1]\nweight = 1\nweight = 2\n")
+
+    @pytest.mark.parametrize("kind", ["demand", "renewable", "spill_max"])
+    def test_repeated_profile_row_rejected(self, kind):
+        text = f"[day d1]\nn_hours = 2\n[{kind}]\nb1 1 2\nb2 1 2\nb1 3 4\n"
+        with pytest.raises(ParseError, match=f"<days>:6: repeated "
+                           f"\\[{kind}\\] row for bus 'b1'"):
+            parse_days(text)
+        # the same bus in another day is no repeat
+        assert len(parse_days(text.replace("b1 3 4", "[day d2]\n"
+                                           f"[{kind}]\nb1 3 4"))) == 2
+
 
 class TestTechRoundTrip:
     def test_bundled_techs_round_trip(self):
@@ -101,6 +122,9 @@ class TestPlanRoundTrip:
     def test_errors(self):
         with pytest.raises(ParseError, match="plan row"):
             parse_plan("b1 1\n")
+        with pytest.raises(ParseError,
+                           match="<plan>:3: repeated plan row for bus 'b1'"):
+            parse_plan("b1 1 2\nb2 1 2\nb1 3 4\n")
 
 
 class TestConfig:

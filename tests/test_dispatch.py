@@ -9,8 +9,8 @@ from storageplan.dispatch import (DispatchInfeasibleError, build_ed,
                                   export_price_table, relaxation_threshold,
                                   solve_ed, storage_revenue)
 from storageplan.instances import simple_tech
-from storageplan.model import (Generator, Network, Plan, StorageTech,
-                               TypicalDay)
+from storageplan.model import (INSTALLED_EPS, Generator, Network, Plan,
+                               StorageTech, TypicalDay)
 from storageplan.subgradient import compute_subgradients
 
 
@@ -38,7 +38,8 @@ class TestProblemSize:
         assert lp.rows["rampup"].size + lp.rows["rampdn"].size == 2 * 23
 
     def test_storage_adds_five_vars_and_five_rows_per_hour(self):
-        """A candidate bus gets its unit whatever its rating."""
+        """A candidate bus gets its unit whatever its rating: five
+        columns and five rows per hour, and its two rating columns."""
         net, day = one_bus(
             [Generator("g1", "b1", 100.0, 0.0, 1e6, 1e6, 20.0, 0.0, 0.0)],
             [50.0] * 24)
@@ -46,7 +47,7 @@ class TestProblemSize:
         base = build_ed(replace(net, candidate_buses=()), day, Plan(), tech)
         for plan in (Plan(), Plan({"b1": (5.0, 5.0)})):
             with_es = build_ed(net, day, plan, tech)
-            assert with_es.n_vars - base.n_vars == 24 * 5
+            assert with_es.n_vars - base.n_vars == 24 * 5 + 2
             assert with_es.n_rows - base.n_rows == 24 * 5
 
 
@@ -128,11 +129,11 @@ class TestFullShape:
         for day in inst.days:
             lp = build_ed(net, day, plan, tech)
             assert lp.n_vars - build_ed(ref_net, day, ref_plan, tech).n_vars \
-                == 5 * day.n_hours * (len(cands) - 1)
-            for kind, rating in (("chcap", 2.0), ("socmax", 4.0)):
-                rhs = lp.rhs[lp.rows[kind]]
-                assert (rhs[:, 0] == rating).all()
-                assert (rhs[:, 1:] == 0.0).all()
+                == (5 * day.n_hours + 2) * (len(cands) - 1)
+            rating = lp.cols["rating"]
+            for bound in (lp.lb, lp.ub):
+                assert (bound[rating[0]] == (2.0, 4.0)).all()
+                assert (bound[rating[1:]] == 0.0).all()
 
             one_off = solve_ed(ref_net, day, ref_plan, tech)
             full = solve_ed(net, day, plan, tech)
@@ -141,6 +142,28 @@ class TestFullShape:
             for name in ("p_ch", "p_dis", "r_eu", "r_ed", "e_soc", "phi_ch",
                          "phi_dis", "phi_soc", "psi_soc", "gamma_e"):
                 assert not getattr(full, name)[:, empty].any(), name
+
+    def test_rating_columns_hold_the_plan(self, rand_instance):
+        """The ratings are fixed columns, never right-hand sides: each
+        candidate's rating columns hold its plan ratings, exactly zero
+        where nothing or less than INSTALLED_EPS is installed, and the
+        rating rows have a zero right-hand side."""
+        inst = rand_instance(1, n_buses=10, n_days=1)
+        net, day, tech = inst.net, inst.days[0], inst.tech
+        cands = list(net.candidate_buses)
+        tiny = INSTALLED_EPS / 2
+        plan = Plan({cands[0]: (2.0, 4.0), cands[1]: (tiny, 2 * tiny),
+                     cands[2]: (3.0, 5.0)})
+        expect = np.zeros((len(cands), 2))
+        expect[0], expect[2] = (2.0, 4.0), (3.0, 5.0)
+        lp = build_ed(net, day, plan, tech)
+        rating = lp.cols["rating"]
+        assert rating.shape == (len(cands), 2)
+        assert np.array_equal(lp.lb[rating], expect)
+        assert np.array_equal(lp.ub[rating], expect)
+        assert not lp.c[rating].any()
+        for kind in ("chcap", "discap", "socmax"):
+            assert not lp.rhs[lp.rows[kind]].any(), kind
 
 
 @pytest.fixture(scope="module")

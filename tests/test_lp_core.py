@@ -382,30 +382,48 @@ def test_each_lp_is_loaded_once_per_planning_call(monkeypatch):
     assert len(names) - names.count("master") > len(held)
 
 
-def _capped_small_lp(cover: float):
-    """small_lp with y <= 1 and cover rhs ``cover``: infeasible above 4."""
+def _boxed_small_lp(y_lo: float, y_hi: float):
+    """small_lp with ``y_lo <= y <= y_hi``: infeasible when ``y_hi < 1``."""
     lp = small_lp()
-    return replace(lp, ub=np.array([math.inf, 1.0]),
-                   rhs=np.array([cover, 3.0]))
+    return replace(lp, lb=np.array([0.0, y_lo]), ub=np.array([math.inf, y_hi]))
 
 
 def test_patched_lp_reaches_cold_outcomes():
     """Hot starts never change an outcome: a held LP patched infeasible
-    and back to feasible gets the status and objective of fresh cold
-    solves, and the store drops a model whose solve did not end
-    optimal."""
+    and back to feasible through its column bounds gets the status and
+    objective of fresh cold solves, and the store drops a model whose
+    solve did not end optimal."""
     starts = {}
     key = "small"
-    for cover in (4.0, 5.0, 3.5, 2.0):
-        lp = _capped_small_lp(cover)
+    outcomes = []
+    for box in ((0.0, 1.0), (0.0, 0.5), (2.0, 4.0), (0.0, 3.0)):
+        lp = _boxed_small_lp(*box)
         sol, cold = lp_core.solve(lp, starts), lp_core.solve(lp)
         assert sol.status == cold.status
         assert (key in starts) == (cold.status == "optimal")
         if cold.status == "optimal":
             assert sol.objective == cold.objective
             assert np.array_equal(sol.x, cold.x)
-    assert [lp_core.solve(_capped_small_lp(c)).status
-            for c in (4.0, 5.0)] == ["optimal", "infeasible"]
+        outcomes.append(cold.objective if cold.status == "optimal"
+                        else cold.status)
+    assert outcomes == [9.0, "infeasible", 10.0, 9.0]
+
+
+def _solve_held(lp, starts, monkeypatch):
+    """Solve ``lp`` with the store ``starts``; also list how each HiGHS
+    run started: from a held ``"model"``, a ``"basis"`` or cold."""
+    real = lp_core.linprog
+    started = []
+
+    def recording(c, basis=None, model=None, **kwargs):
+        started.append("model" if model is not None
+                       else "basis" if basis is not None else "cold")
+        return real(c, basis=basis, model=model, **kwargs)
+
+    monkeypatch.setattr(lp_core, "linprog", recording)
+    sol = lp_core.solve(lp, starts)
+    monkeypatch.undo()
+    return sol, started
 
 
 def test_held_name_with_another_shape_is_loaded_fresh(monkeypatch):
@@ -420,28 +438,62 @@ def test_held_name_with_another_shape_is_loaded_fresh(monkeypatch):
                     lb=np.append(held.lb, 0.0), ub=np.append(held.ub, 2.0),
                     A=csr_matrix((held.A.data, held.A.indices,
                                   held.A.indptr), shape=(2, 3)))
-    real = lp_core.linprog
-    started = []
-
-    def recording(c, basis=None, model=None, **kwargs):
-        started.append(basis is not None or model is not None)
-        return real(c, basis=basis, model=model, **kwargs)
-
-    monkeypatch.setattr(lp_core, "linprog", recording)
-    sol = lp_core.solve(wider, starts)
-    monkeypatch.undo()
-    assert started == [False]
+    sol, started = _solve_held(wider, starts, monkeypatch)
+    assert started == ["cold"]
     assert list(starts) == ["small"] and starts["small"].lp is wider
     cold = lp_core.solve(wider)
     assert sol.objective == cold.objective == pytest.approx(7.0)
     assert np.array_equal(sol.x, cold.x)
 
 
+@pytest.mark.parametrize("rows", [
+    {"rhs": np.array([5.0, 3.0])},                     # x + y >= 5
+    {"sense": np.array([-1, -1], dtype=np.int8)},      # x >= 3
+])
+def test_held_name_with_other_rows_is_loaded_fresh(rows, monkeypatch):
+    """A held model keeps its rows: an LP under its name with the same
+    matrix but another right-hand side or sense is loaded afresh from
+    the held basis, not patched, and gets its own cold optimum."""
+    starts = {}
+    held = small_lp()
+    lp_core.solve(held, starts)
+    other = replace(held, **rows)
+    sol, started = _solve_held(other, starts, monkeypatch)
+    assert started == ["basis"]
+    assert starts["small"].lp is other
+    cold = lp_core.solve(other)
+    assert cold.objective != pytest.approx(9.0)
+    assert sol.objective == cold.objective
+    assert np.array_equal(sol.x, cold.x)
+
+
+def test_inner_loop_re_solves_keep_the_held_rows(monkeypatch):
+    """Every re-solve of a held dispatch or marginal-unit LP in an inner
+    loop shares the held LP's matrix, senses and right-hand sides, so
+    only costs and column bounds reach HiGHS."""
+    inst = instances.random_instance(1, n_buses=10, n_days=3)
+    real_solve = lp_core.solve
+    shared = {"ed": 0, "sgsp": 0}
+
+    def checking_solve(lp, starts=None):
+        if starts is not None and lp.name in starts:
+            hold = starts[lp.name].lp
+            assert lp.A is hold.A and lp.sense is hold.sense \
+                and lp.rhs is hold.rhs, lp.name
+            shared[lp.name.split("[")[0]] += 1
+        return real_solve(lp, starts)
+
+    monkeypatch.setattr(lp_core, "solve", checking_solve)
+    res = planner.inner_loop(inst.net, inst.days, inst.tech, inst.budget)
+    assert res.converged and len(res.iterations) > 1
+    assert shared["ed"] > 0 and shared["sgsp"] > 0
+
+
 def test_failed_hot_solve_is_repeated_cold(monkeypatch):
     """A re-solve of a held model that does not end optimal is loaded
     and solved again cold before its outcome is reported."""
     starts = {}
-    lp_core.solve(_capped_small_lp(4.0), starts)
+    lp_core.solve(_boxed_small_lp(0.0, 1.0), starts)
     real = lp_core.linprog
     hot = []
 
@@ -452,8 +504,8 @@ def test_failed_hot_solve_is_repeated_cold(monkeypatch):
         return real(c, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", failing_hot)
-    sol = lp_core.solve(_capped_small_lp(3.5), starts)
+    sol = lp_core.solve(_boxed_small_lp(2.0, 4.0), starts)
     monkeypatch.undo()
     assert hot == [True, False]
     assert sol.status == "optimal"
-    assert sol.objective == lp_core.solve(_capped_small_lp(3.5)).objective
+    assert sol.objective == lp_core.solve(_boxed_small_lp(2.0, 4.0)).objective
