@@ -5,7 +5,13 @@ per-day dispatch (:mod:`.dispatch`), the cutting-plane planner
 (:mod:`.planner`), the monolithic reference LP (:mod:`.oracle`),
 typical-day clustering (:mod:`.scenario`) and text-file input/output
 (:mod:`.datafiles`).
+
+The package logs to the ``storageplan`` logger, silent unless the
+application configures logging: the planner writes one DEBUG line per
+cutting-plane sweep and one INFO line per rate-of-return round.
 """
+
+import logging
 
 from .datafiles import (load_bundled_tech, parse_config, parse_days,
                         parse_network, parse_plan, parse_tech, write_days,
@@ -25,6 +31,8 @@ from .subgradient import (Cut, compute_subgradients, revenue_identity,
                           solve_sgsp, split_subgradient)
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "Generator", "Line", "Network", "Plan", "StorageTech", "TypicalDay",

@@ -2,14 +2,17 @@
 
 The inner loop alternates per-day dispatch, subgradient evaluation and
 the cutting-plane master until the optimality gap is within the relative
-tolerance.  The outer loop enforces the minimum rate of return on
-storage investment by shrinking the investment budget to (revenue /
-required return) and re-running the inner loop with all accumulated
-cuts retained.
+tolerance.  It dispatches at in-out query points (Ben-Ameur & Neto
+2007): halfway between the master's plan and the best plan sampled so
+far, which damps the oscillation of plain cutting planes.  The outer
+loop enforces the minimum rate of return on storage investment by
+shrinking the investment budget to (revenue / required return) and
+re-running the inner loop with all accumulated cuts retained.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 import warnings
@@ -18,9 +21,16 @@ from dataclasses import dataclass, field
 
 from .dispatch import (DispatchSolution, is_held, solve_ed,
                        storage_revenue)
-from .master import MasterState, convergence_check, solve_master
+from .master import (MasterState, convergence_check, snapped_plan,
+                     solve_master)
 from .model import Network, Plan, StorageTech, TypicalDay
 from .subgradient import Cut, assemble_cut, compute_subgradients
+
+log = logging.getLogger(__name__)
+
+# weight of the master's plan in the in-out query point
+# ``a * master plan + (1 - a) * centre``
+_IN_OUT_STEP = 0.5
 
 
 @dataclass
@@ -30,6 +40,7 @@ class IterationRecord:
     sampled_cost: float
     best_cost: float
     plan_nonzeros: int
+    step: float     # weight of the master's plan in the dispatched plan
 
 
 @dataclass
@@ -134,14 +145,49 @@ def evaluate_plan(net: Network, days: list[TypicalDay], tech: StorageTech,
     )
 
 
+def _query_point(y: Plan, centre: Plan, step: float,
+                 buses: list[str]) -> Plan:
+    """``step * y + (1 - step) * centre``, snapped as a master plan is.
+    A convex combination of two plans that meet the ratio and budget
+    rows meets them too."""
+    return snapped_plan(buses, [
+        (step * y.power(b) + (1 - step) * centre.power(b),
+         step * y.energy(b) + (1 - step) * centre.energy(b)) for b in buses])
+
+
+def _within_budget(plan: Plan, tech: StorageTech,
+                   budget: float | None) -> Plan:
+    """``plan`` scaled down onto the budget when it costs more; scaling
+    keeps the ratio rows."""
+    ce = plan.investment_cost(tech)
+    if budget is None or ce <= budget:
+        return plan
+    scale = budget / ce
+    return snapped_plan(list(plan.ratings), [
+        (p * scale, e * scale) for p, e in plan.ratings.values()])
+
+
+def _model_value(state: MasterState, plan: Plan) -> float:
+    """The cut model at ``plan``: its highest cut, or the capital floor."""
+    return max([plan.investment_cost(state.tech)]
+               + [cut.predicted_cost(plan) for cut in state.cuts])
+
+
 def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
                budget: float | None, epsilon: float = 0.05,
                max_iter: int = 150, workers: int = 1,
                state: MasterState | None = None) -> PlanResult:
     """Cutting-plane search for the best plan within the budget.
 
+    Each sweep dispatches the in-out query point between the master's
+    plan ``y`` and the centre, the best plan sampled so far.  When the
+    cut found there does not raise the cut model at ``y`` (the query
+    mis-priced ``y``), the next sweep dispatches ``y`` itself.
+
     A pre-seeded ``state`` (with cuts from earlier budgets) is reused;
-    its bounds are reset since the feasible region changed.
+    its bounds are reset since the feasible region changed.  Its best
+    plan, scaled onto the new budget when it costs more, is the first
+    centre.
     """
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
@@ -162,7 +208,8 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
                             tech=tech, budget=budget)
     else:
         state.budget = budget
-        state.reset_bounds()
+    centre = _within_budget(state.best_plan, tech, budget)
+    state.reset_bounds()
 
     zero = Plan()
     best_sols: dict[str, DispatchSolution] | None = None
@@ -179,23 +226,35 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
 
     trace: list[IterationRecord] = []
     converged = False
+    step = _IN_OUT_STEP
     for nu in range(1, max_iter + 1):
-        ytilde, lb = timed("master", solve_master, state)
+        y, lb = timed("master", solve_master, state)
         state.lower_bound = lb
         if convergence_check(state, epsilon):
             converged = True
             break
-        sols = timed("dispatch", dispatch_all, net, days, ytilde, tech,
+        query = _query_point(y, centre, step, state.candidate_buses)
+        sols = timed("dispatch", dispatch_all, net, days, query, tech,
                      workers, state.starts)
-        cs = _weighted_cost(days, sols, ytilde, tech)
+        cs = _weighted_cost(days, sols, query, tech)
         if cs < state.best_cost:
-            best_sols = sols
-        state.record_sample(ytilde, cs)
+            best_sols, centre = sols, query
+        state.record_sample(query, cs)
         grads, branch = timed("subgradient", compute_subgradients,
-                              net, days, sols, ytilde, tech, state.starts)
-        state.add_cut(assemble_cut(net, ytilde, cs, grads, branch, nu))
+                              net, days, sols, query, tech, state.starts)
+        cut = assemble_cut(net, query, cs, grads, branch, nu)
+        # the query mis-priced y when its cut does not raise the model
+        # at y (the model at y, not lb: they can differ by the master's
+        # tolerances)
+        at_y = _model_value(state, y)
+        mispriced = cut.predicted_cost(y) <= at_y + 1e-9 * max(1.0, abs(at_y))
+        state.add_cut(cut)
         trace.append(IterationRecord(nu, lb, cs, state.best_cost,
-                                     len(ytilde.installed_buses())))
+                                     len(query.installed_buses()), step))
+        log.debug("sweep %d: lower bound %.6f, sampled %.6f, best %.6f, "
+                  "gap %.6g, step %g", nu, lb, cs, state.best_cost,
+                  state.best_cost - lb, step)
+        step = 1.0 if step < 1.0 and mispriced else _IN_OUT_STEP
         if convergence_check(state, epsilon):
             converged = True
             break
@@ -249,6 +308,8 @@ def outer_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
                             max_iter=max_iter, workers=workers, state=state)
         ce, cr = result.investment_cost, result.revenue
         outer_trace.append(OuterRecord(rnd, budget, ce, cr))
+        log.info("round %d: budget %s, investment %.6f, revenue %.6f",
+                 rnd, "none" if budget is None else f"{budget:.6f}", ce, cr)
         if ce <= default_budget_min(tech) or cr >= chi * ce - 1e-6 * ce:
             result.outer_trace = outer_trace
             return result
@@ -287,10 +348,11 @@ def format_report(result: PlanResult, schema_version: str = "1") -> str:
 
 
 def format_trace(result: PlanResult) -> str:
-    lines = ["# iteration lower_bound sampled_cost best_cost plan_nonzeros"]
+    lines = ["# iteration lower_bound sampled_cost best_cost plan_nonzeros "
+             "step"]
     for r in result.iterations:
         lines.append(f"{r.iteration} {r.lower_bound:.6f} {r.sampled_cost:.6f} "
-                     f"{r.best_cost:.6f} {r.plan_nonzeros}")
+                     f"{r.best_cost:.6f} {r.plan_nonzeros} {r.step:g}")
     if result.outer_trace:
         lines.append("# round budget investment_cost revenue")
         for r in result.outer_trace:

@@ -91,7 +91,7 @@ class TestDeterminism:
         assert plan_a.ratings == plan_b.ratings
 
     def test_tie_break_prefers_small_build(self):
-        # two buses, identical cuts: the secondary objective should not
+        # two buses, identical cuts: the master's one solve must not
         # spread the build over redundant capacity
         state = MasterState(candidate_buses=["b1", "b2"],
                             tech=simple_tech(), budget=None,
@@ -107,7 +107,9 @@ class TestDeterminism:
 class TestGolden:
     def test_three_buses_three_cuts_with_budget(self):
         """Ratings and bound pinned bit for bit: any change to how the
-        master LP is assembled must hand HiGHS the same model."""
+        master LP is assembled must hand HiGHS the same model.  The plan
+        is the master LP's own optimum: it attains ``z`` on the cut model
+        and meets the ratio and budget rows."""
         buses = ("b1", "b2", "b3")
         tech = simple_tech(c_p=2.0, c_e=0.5, rho_min=0.25, rho_max=2.0)
         state = MasterState(candidate_buses=list(buses), tech=tech,
@@ -124,9 +126,13 @@ class TestGolden:
         plan, z = solve_master(state)
         assert z == 1758.8779069767443
         assert plan.ratings == {
-            "b1": (5.9825532537629185, 23.930213015051674),
-            "b3": (1.517499268285701, 6.069576896753845),
+            "b1": (5.982558139534895, 23.930232558139604),
+            "b3": (1.517441860465114, 6.069767441860452),
         }
+        model = max(cut.predicted_cost(plan) for cut in state.cuts)
+        assert model == pytest.approx(z, rel=1e-12)
+        plan.check_ratio_bounds(tech)
+        assert plan.investment_cost(tech) <= 30.0 * (1 + 1e-12)
 
 
 class TestState:

@@ -1,9 +1,10 @@
+import logging
 import sys
 
 import numpy as np
 import pytest
 
-from storageplan import lp_core, oracle
+from storageplan import lp_core, oracle, planner
 from storageplan.model import Plan
 from storageplan.planner import (default_budget_min, dispatch_all,
                                  evaluate_plan, format_report, format_trace,
@@ -168,6 +169,60 @@ class TestInnerLoop:
         assert len({r.plan_nonzeros for r in res.iterations}) > 1
         assert cold == 1
 
+    def test_in_out_sweeps_on_ten_days(self, rand_instance):
+        """Deterministic companion of the in-out speedup: plain cutting
+        planes need 8 sweeps after the first on this instance.  The
+        returned plan is still the best sampled one and the lower bound
+        still the master's."""
+        inst = rand_instance(1, n_buses=10, n_days=10)
+        res = inner_loop(inst.net, inst.days, inst.tech, inst.budget,
+                         epsilon=0.05)
+        assert res.converged
+        assert len(res.iterations) <= 4
+        assert res.system_cost == min(
+            [res.baseline_cost] + [r.sampled_cost for r in res.iterations])
+        lbs = [r.lower_bound for r in res.iterations] + [res.lower_bound]
+        assert all(b >= a - 1e-9 * abs(a) for a, b in zip(lbs, lbs[1:]))
+
+    def test_mis_priced_query_retries_at_master_plan(self, rand_instance,
+                                                     monkeypatch):
+        """A sweep dispatches halfway between the master's plan and the
+        best sample, unless the previous in-out cut did not raise the cut
+        model at the master's plan: then it dispatches that plan."""
+        inst = rand_instance(1, n_buses=10, n_days=3)
+        masters, queries = [], []
+        real_master, real_dispatch = planner.solve_master, \
+            planner.dispatch_all
+
+        def recording_master(state):
+            masters.append(real_master(state))
+            return masters[-1]
+
+        def recording_dispatch(net, days, plan, *args, **kwargs):
+            queries.append(plan)
+            return real_dispatch(net, days, plan, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "solve_master", recording_master)
+        monkeypatch.setattr(planner, "dispatch_all", recording_dispatch)
+        res = inner_loop(inst.net, inst.days, inst.tech, inst.budget,
+                         epsilon=0.01)
+        steps = [r.step for r in res.iterations]
+        assert 1.0 in steps
+        assert steps[0] == 0.5
+        tech, cuts = inst.tech, res.cuts
+        for k, rec in enumerate(res.iterations):
+            y, query = masters[k][0], queries[k + 1]
+            if rec.step == 1.0:
+                assert query == y
+            # cut k + 1 was found at this sweep's query
+            at_y = max([y.investment_cost(tech)]
+                       + [c.predicted_cost(y) for c in cuts[:k + 1]])
+            raised = cuts[k + 1].predicted_cost(y) > \
+                at_y + 1e-9 * max(1.0, abs(at_y))
+            if k + 1 < len(steps):
+                assert steps[k + 1] == (
+                    1.0 if rec.step == 0.5 and not raised else 0.5)
+
     def test_cost_dominates_oracle_within_tolerance(self, rand_instance):
         inst = rand_instance(1)
         res = inner_loop(inst.net, inst.days, inst.tech, inst.budget,
@@ -223,6 +278,55 @@ class TestOuterLoop:
         assert a.outer_trace == b.outer_trace
         assert a.iterations == b.iterations
 
+    def test_every_query_meets_ratio_and_budget_rows(self, rand_instance,
+                                                     monkeypatch):
+        """Round 2 starts from round 1's best plan scaled onto the smaller
+        budget; every in-out query is a convex combination of feasible
+        plans, so each dispatched plan is feasible for its round."""
+        inst = rand_instance(2, n_buses=8, n_days=2)
+        budgets, dispatched = [], []
+        real_inner, real_dispatch = planner.inner_loop, planner.dispatch_all
+
+        def recording_inner(net, days, tech, budget, *args, **kwargs):
+            budgets.append(budget)
+            return real_inner(net, days, tech, budget, *args, **kwargs)
+
+        def recording_dispatch(net, days, plan, *args, **kwargs):
+            dispatched.append((budgets[-1], plan))
+            return real_dispatch(net, days, plan, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "inner_loop", recording_inner)
+        monkeypatch.setattr(planner, "dispatch_all", recording_dispatch)
+        res = outer_loop(inst.net, inst.days, inst.tech, chi=5.0,
+                         budget_init=inst.budget)
+        assert len(res.outer_trace) == 2
+        for budget, plan in dispatched:
+            plan.check_ratio_bounds(inst.tech)
+            assert plan.investment_cost(inst.tech) <= budget * (1 + 1e-9)
+        # the second round's budget binds
+        assert max(plan.investment_cost(inst.tech)
+                   for budget, plan in dispatched
+                   if budget == budgets[1]) >= budgets[1] * (1 - 1e-9)
+
+    def test_logs_rounds_and_sweeps(self, rand_instance, caplog):
+        inst = rand_instance(2, n_buses=8, n_days=2)
+        with caplog.at_level(logging.DEBUG, logger="storageplan"):
+            res = outer_loop(inst.net, inst.days, inst.tech, chi=5.0,
+                             budget_init=inst.budget)
+        rounds = [r for r in caplog.records if r.levelno == logging.INFO]
+        sweeps = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(rounds) == len(res.outer_trace) == 2
+        assert all(r.name == "storageplan.planner" for r in caplog.records)
+        assert rounds[0].getMessage().startswith(
+            f"round 1: budget {inst.budget:.6f}, investment ")
+        assert len(sweeps) >= len(res.iterations)
+        assert all(" step " in r.getMessage() for r in sweeps)
+        # silent unless the application configures logging
+        package = logging.getLogger("storageplan")
+        assert package.level == logging.NOTSET
+        assert any(isinstance(h, logging.NullHandler)
+                   for h in package.handlers)
+
     def test_rounds_keep_warm_starts(self, rand_instance, monkeypatch):
         inst = rand_instance(2, n_buses=8, n_days=2)
         res, cold = count_cold_dispatch(
@@ -263,5 +367,10 @@ class TestReports:
     def test_trace(self, m2):
         res = inner_loop(m2.net, m2.days, m2.tech, None)
         text = format_trace(res)
-        assert text.startswith("# iteration")
-        assert len(text.splitlines()) == 1 + len(res.iterations)
+        lines = text.splitlines()
+        assert lines[0].split()[1:] == ["iteration", "lower_bound",
+                                        "sampled_cost", "best_cost",
+                                        "plan_nonzeros", "step"]
+        assert len(lines) == 1 + len(res.iterations)
+        assert [float(l.split()[-1]) for l in lines[1:]] \
+            == [r.step for r in res.iterations]
