@@ -238,7 +238,8 @@ class HighsResult:
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
-            basis=None, model: Loaded | None = None) -> HighsResult:
+            basis=None, model: Loaded | None = None,
+            solver: str | None = None) -> HighsResult:
     """min ``c @ x`` s.t. ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq`` and
     ``bounds[:, 0] <= x <= bounds[:, 1]``, solved by HiGHS.
 
@@ -256,6 +257,11 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     ``A_ub``/``b_ub`` over ``A_eq``/``b_eq``) nothing is loaded: the
     costs and column bounds that differ are patched into it and HiGHS
     runs again from its own basis and factorization.
+
+    ``solver`` is HiGHS's ``solver`` option for the first run of a model
+    loaded here (``"ipm"``: interior point, then crossover to a vertex);
+    the dual simplex then runs from where it stopped.  ``None`` leaves
+    HiGHS its dual simplex alone.
     """
     n = c.size
     b_ub = np.empty(0) if b_ub is None else b_ub
@@ -274,6 +280,8 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
         highs = _Highs()
         for key, val in _RUN_OPTIONS.items():
             highs.setOptionValue(key, val)
+        if solver is not None:
+            highs.setOptionValue("solver", solver)
         if highs.passModel(
                 n, row_upper.size, A.nnz, int(_highs.MatrixFormat.kColwise),
                 int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lower,
@@ -285,6 +293,12 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
             highs.setBasis(basis)
         model = Loaded(highs, c.copy(), lb, ub)
     highs.run()
+    if solver is not None:
+        # the simplex solver sets up the basis read below (reading it
+        # after an interior-point run crashes HiGHS); from the
+        # crossover's vertex it takes no iterations
+        highs.setOptionValue("solver", "simplex")
+        highs.run()
     model_status = highs.getModelStatus()
     info = highs.getInfo()
     status = _SCIPY_STATUS.get(model_status, 4)
@@ -358,7 +372,8 @@ def held(starts: dict, name: str) -> ArrayLP | None:
     return None if hold is None else hold.lp
 
 
-def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
+def solve(lp: ArrayLP, starts: dict | None = None,
+          solver: str | None = None) -> LPSolution:
     """Solve to optimality, returning primal values, row duals and reduced costs.
 
     HiGHS receives the ``<=``/``>=`` rows, in model order and negated for
@@ -374,7 +389,8 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     started solve that does not end optimal is repeated cold, so a start
     never changes an outcome.  A caller that re-solves an LP keeps its
     rows fixed and changes only costs and bounds (see
-    :func:`storageplan.dispatch.solve_ed`).
+    :func:`storageplan.dispatch.solve_ed`).  ``solver`` is passed to
+    :func:`linprog`.
     """
     if lp.n_vars == 0:
         raise LPError("no variables")
@@ -390,6 +406,8 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
                     else _split(lp))
     ub_rows, sign, eq_rows = rows
     kwargs = dict(arrays, bounds=np.column_stack((lp.lb, lp.ub)))
+    if solver is not None:
+        kwargs["solver"] = solver
 
     start = ({"model": hold.model} if hold is not None
              else {"basis": seed} if seed is not None else {})

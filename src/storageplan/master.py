@@ -4,9 +4,9 @@ Minimizes the piecewise-linear under-estimate of system cost subject to
 power/energy-ratio bounds and the investment budget.  Because every
 dispatch cost is nonnegative, ``z >= investment cost`` is a globally
 valid epigraph row; it keeps the first master solve bounded when no
-budget is set.  One LP is solved per call, and the plan it returns is
-the master's plan: HiGHS runs the same model deterministically, so
-repeated calls return the same optimal vertex.
+budget is set.  Tie-breaking among optimal plans is deterministic: a
+secondary solve minimizes total installed rating with a small bias
+towards low bus indices.
 """
 
 from __future__ import annotations
@@ -63,16 +63,21 @@ def _cut_rhs(cut: Cut) -> float:
     return rhs
 
 
-def _build_master(state: MasterState) -> ArrayLP:
+def _build_master(state: MasterState, z_level: float | None = None
+                  ) -> ArrayLP:
     """The cut model: a free ``z`` column, then a ``[p, e]`` rating pair
-    per candidate bus."""
+    per candidate bus.  With ``z_level`` set it becomes the tie-break LP:
+    keep ``z`` within ``z_level`` and minimize total installed rating,
+    with a small bias towards low bus indices."""
     tech = state.tech
     n = len(state.candidate_buses)
     lp = LPBuilder("master")
     z = lp.cols["z"] = lp.add_cols(())
-    lp.c[z] = 1.0
+    lp.c[z] = 1.0 if z_level is None else 0.0
     lp.lb[z] = -math.inf
     pe = lp.cols["pe"] = lp.add_cols((n, 2))
+    if z_level is not None:
+        lp.c[pe] = (1.0 + 1e-7 * np.arange(n))[:, None]
     ratio = lp.rows["ratio"] = lp.add_rows((n, 2))
     lp.set_rows(ratio[:, 0], GE, 0.0, (pe[:, 0], 1.0),
                 (pe[:, 1], -tech.rho_min))
@@ -93,6 +98,9 @@ def _build_master(state: MasterState) -> ArrayLP:
     buses = [pos[b] for cut in state.cuts for b in cut.buses]
     grads = [g for cut in state.cuts for g in zip(cut.g_p, cut.g_e)]
     lp.add_terms(rows[:, None], pe[buses], -np.reshape(grads, (-1, 2)))
+    if z_level is not None:
+        level = lp.rows["z_level"] = lp.add_rows(())
+        lp.set_rows(level, LE, z_level, (z, 1.0))
     return lp.build()
 
 
@@ -101,11 +109,27 @@ def solve_master(state: MasterState) -> tuple[Plan, float]:
     if not state.cuts:
         raise MasterError("master requires at least one cut")
     lp = _build_master(state)
-    sol = lp_core.solve(lp)
+    try:
+        sol = lp_core.solve(lp)
+    except lp_core.LPError:
+        # on nearly parallel cuts HiGHS's dual simplex can stop short of
+        # the feasibility tolerances with an unknown status; its
+        # interior-point solver reaches them
+        sol = lp_core.solve(lp, solver="ipm")
     if sol.status != "optimal":
         raise MasterError(f"master solve returned {sol.status}")
-    return (snapped_plan(state.candidate_buses, sol.x[lp.cols["pe"]]),
-            sol.objective)
+    z = sol.objective
+
+    # deterministic tie-break: smallest total rating, low bus ids first
+    try:
+        tie_sol = lp_core.solve(
+            _build_master(state, z_level=z + 1e-7 * max(1.0, abs(z))))
+    except lp_core.LPError:
+        tie_sol = None
+    if tie_sol is not None and tie_sol.status == "optimal":
+        sol = tie_sol
+
+    return snapped_plan(state.candidate_buses, sol.x[lp.cols["pe"]]), z
 
 
 def snapped_plan(buses: list[str], pe) -> Plan:

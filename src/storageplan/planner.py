@@ -244,8 +244,8 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
                               net, days, sols, query, tech, state.starts)
         cut = assemble_cut(net, query, cs, grads, branch, nu)
         # the query mis-priced y when its cut does not raise the model
-        # at y (the model at y, not lb: they can differ by the master's
-        # tolerances)
+        # at y (the model at y, not lb: the master's tie-break solve may
+        # return y above lb)
         at_y = _model_value(state, y)
         mispriced = cut.predicted_cost(y) <= at_y + 1e-9 * max(1.0, abs(at_y))
         state.add_cut(cut)

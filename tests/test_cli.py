@@ -38,6 +38,8 @@ class TestPlanCommand:
         assert run(base_args("plan", m2_files)) == 0
         out = capsys.readouterr().out
         assert "schema_version = 1" in out
+        assert "return_unachievable = false" in out
+        assert "unachievable; no storage built" not in out
         assert (m2_files["out"] / "report.txt").exists()
         assert (m2_files["out"] / "trace.txt").exists()
 

@@ -234,6 +234,23 @@ def test_cold_run_equals_scipy_linprog(planning_lps, kind, monkeypatch):
                           ref.lower.marginals + ref.upper.marginals)
 
 
+@pytest.mark.parametrize("kind", ["small", "master"])
+def test_interior_point_solver(planning_lps, kind):
+    """``solver="ipm"`` ends optimal at the dual simplex's bound, with row
+    duals and reduced costs: the dual simplex runs after the crossover
+    and sets up the basis they are read from."""
+    lp = small_lp() if kind == "small" else planning_lps[kind]
+    ref = lp_core.solve(lp)
+    sol = lp_core.solve(lp, solver="ipm")
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert sol.duals.shape == ref.duals.shape
+    assert sol.reduced_costs.shape == ref.reduced_costs.shape
+    if kind == "small":    # a unique vertex
+        assert sol.x == pytest.approx(ref.x, abs=1e-9)
+        assert sol.duals == pytest.approx(ref.duals, abs=1e-9)
+
+
 @pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master"])
 def test_restart_from_own_basis_takes_no_iterations(planning_lps, kind,
                                                     monkeypatch):
