@@ -162,9 +162,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_case_args(sp, days_required=True):
+def _add_case_args(sp):
     sp.add_argument("--network", required=True)
-    sp.add_argument("--days", required=days_required)
+    sp.add_argument("--days", required=True)
     sp.add_argument("--tech", required=True,
                     help="tech file or a bundled name "
                          f"({', '.join(BUNDLED_TECHS)})")

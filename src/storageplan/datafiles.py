@@ -231,10 +231,10 @@ def write_plan(plan: Plan) -> str:
 
 def parse_config(text: str, path: str = "<config>") -> dict:
     """Run configuration: epsilon, chi, budget_max, budget_min, max_iter,
-    max_outer, workers, seed."""
+    max_outer, workers."""
     keys = {"epsilon": float, "chi": float, "budget_max": float,
             "budget_min": float, "max_iter": int, "max_outer": int,
-            "workers": int, "seed": int}
+            "workers": int}
     out: dict = {}
     for lineno, line in _logical_lines(text):
         toks = line.replace("=", " ").split()

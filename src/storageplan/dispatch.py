@@ -360,15 +360,16 @@ def relaxation_threshold(tech: StorageTech, lmp: float) -> float:
     return -(1.0 / tech.eta_dis - tech.eta_ch) * lmp
 
 
-def check_no_simultaneous(sol: DispatchSolution, tech: StorageTech,
-                          eps_p: float = 1e-6) -> SimultaneityReport:
-    """Report simultaneous charge/discharge and where the sufficient
-    condition ``c_dis + c_ch > -(1/eta_dis - eta_ch) * lmp`` fails."""
+def check_no_simultaneous(sol: DispatchSolution, tech: StorageTech
+                          ) -> SimultaneityReport:
+    """Report simultaneous charge/discharge (both above 1e-6 MW) and where
+    the sufficient condition ``c_dis + c_ch > -(1/eta_dis - eta_ch) * lmp``
+    fails."""
     violations = []
     failures = []
     for k in range(sol.n_hours):
         for c, b in enumerate(sol.buses):
-            if sol.p_ch[k, c] > eps_p and sol.p_dis[k, c] > eps_p:
+            if sol.p_ch[k, c] > 1e-6 and sol.p_dis[k, c] > 1e-6:
                 violations.append((k + 1, b))
             if b in sol.storage_buses:
                 if tech.c_dis + tech.c_ch <= relaxation_threshold(

@@ -29,8 +29,8 @@ def simple_tech(c_p: float = 1.0, c_e: float = 1.0, rho_min: float = 0.1,
                        eta_ch=eta, eta_dis=eta, **kwargs)
 
 
-def _single_bus(gens: list[Generator], demand: tuple[float, ...],
-                name: str) -> tuple[Network, TypicalDay]:
+def _single_bus(gens: list[Generator], demand: tuple[float, ...]
+                ) -> tuple[Network, TypicalDay]:
     net = Network(buses=("b1",), lines=(), generators=tuple(gens),
                   candidate_buses=("b1",))
     day = TypicalDay(day_id="d1", weight=1.0, n_hours=len(demand),
@@ -42,7 +42,7 @@ def m1() -> Instance:
     """One flat-priced generator; storage can never save anything."""
     net, day = _single_bus(
         [Generator("g1", "b1", 100.0, 0.0, 1e6, 1e6, 20.0, 0.0, 0.0)],
-        (50.0, 80.0), "m1")
+        (50.0, 80.0))
     return Instance("m1", net, [day], simple_tech())
 
 
@@ -56,7 +56,7 @@ def m2() -> Instance:
     net, day = _single_bus(
         [Generator("g1", "b1", 60.0, 0.0, 1e6, 1e6, 10.0, 0.0, 0.0),
          Generator("g2", "b1", 100.0, 0.0, 1e6, 1e6, 50.0, 0.0, 0.0)],
-        (50.0, 80.0), "m2")
+        (50.0, 80.0))
     return Instance("m2", net, [day], simple_tech())
 
 
@@ -66,7 +66,7 @@ def m2_outer() -> Instance:
     net, day = _single_bus(
         [Generator("g1", "b1", 70.0, 0.0, 1e6, 1e6, 10.0, 0.0, 0.0),
          Generator("g2", "b1", 100.0, 0.0, 1e6, 1e6, 50.0, 0.0, 0.0)],
-        (50.0, 80.0), "m2_outer")
+        (50.0, 80.0))
     return Instance("m2_outer", net, [day], simple_tech(c_p=15.0, c_e=15.0),
                     budget=450.0)
 

@@ -191,30 +191,6 @@ _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 @dataclass
-class Loaded:
-    """A HiGHS model kept for re-solves, with the costs and column bounds
-    it holds (in :func:`linprog`'s terms: infinities clipped).  Its rows
-    never change: an LP with other rows is loaded afresh."""
-
-    highs: _Highs
-    c: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-
-    def patch(self, c, lb, ub):
-        """Change the costs and column bounds that differ."""
-        highs = self.highs
-        cols = np.flatnonzero(c != self.c).astype(np.int32)
-        if cols.size:
-            highs.changeColsCost(cols.size, cols, c[cols])
-        cols = np.flatnonzero((lb != self.lb) | (ub != self.ub)
-                              ).astype(np.int32)
-        if cols.size:
-            highs.changeColsBounds(cols.size, cols, lb[cols], ub[cols])
-        self.c, self.lb, self.ub = c, lb, ub
-
-
-@dataclass
 class HighsResult:
     """One HiGHS run, in the terms of :func:`scipy.optimize.linprog`.
 
@@ -234,11 +210,11 @@ class HighsResult:
     eq_duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     basis: object = None
-    model: Loaded | None = None
+    model: _Highs | None = None
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
-            basis=None, model: Loaded | None = None,
+            basis=None, model: _Highs | None = None,
             solver: str | None = None) -> HighsResult:
     """min ``c @ x`` s.t. ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq`` and
     ``bounds[:, 0] <= x <= bounds[:, 1]``, solved by HiGHS.
@@ -253,10 +229,10 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     LP of the same shape) the dual simplex starts from it and skips
     presolve; a basis HiGHS rejects leaves the solve cold.
 
-    With ``model`` (the ``model`` of an earlier result whose rows are
-    ``A_ub``/``b_ub`` over ``A_eq``/``b_eq``) nothing is loaded: the
-    costs and column bounds that differ are patched into it and HiGHS
-    runs again from its own basis and factorization.
+    With ``model`` (the ``model`` of an earlier result, since patched to
+    hold ``c``, ``bounds`` and the rows ``A_ub``/``b_ub`` over
+    ``A_eq``/``b_eq``) nothing is loaded: HiGHS runs again from the
+    model's own basis and factorization.
 
     ``solver`` is HiGHS's ``solver`` option for the first run of a model
     loaded here (``"ipm"``: interior point, then crossover to a vertex);
@@ -266,15 +242,13 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     n = c.size
     b_ub = np.empty(0) if b_ub is None else b_ub
     b_eq = np.empty(0) if b_eq is None else b_eq
-    inf = _highs.kHighsInf
-    lb, ub = np.clip(bounds, -inf, inf).T.copy()
+    lb, ub = bounds.T.copy()
 
-    if model is not None:
-        model.patch(c.copy(), lb, ub)
-        highs = model.highs
-    else:
-        row_lower = np.concatenate((np.full(b_ub.size, -inf), b_eq))
-        row_upper = np.clip(np.concatenate((b_ub, b_eq)), -inf, inf)
+    highs = model
+    if highs is None:
+        row_lower = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf),
+                                    b_eq))
+        row_upper = np.concatenate((b_ub, b_eq))
         mats = [m for m in (A_ub, A_eq) if m is not None]
         A = csc_array(vstack(mats)) if mats else csc_array((0, n))
         highs = _Highs()
@@ -291,7 +265,6 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
                                highs.modelStatusToString(_MS.kModelError), 0)
         if basis is not None:
             highs.setBasis(basis)
-        model = Loaded(highs, c.copy(), lb, ub)
     highs.run()
     if solver is not None:
         # the simplex solver sets up the basis read below (reading it
@@ -305,7 +278,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     message = highs.modelStatusToString(model_status)
     if model_status != _MS.kOptimal:
         return HighsResult(status, message, info.simplex_iteration_count,
-                           model=model)
+                           model=highs)
 
     sol = highs.getSolution()
     row_dual = np.array(sol.row_dual)
@@ -314,7 +287,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
     basis_status, basic = highs.getBasicVariables()
     if basis_status != _highs.HighsStatus.kOk:
         return HighsResult(4, f"{message}, but no basis",
-                           info.simplex_iteration_count, model=model)
+                           info.simplex_iteration_count, model=highs)
     at_bound = np.isfinite(lb) | np.isfinite(ub)
     at_bound[basic[basic >= 0]] = False
     return HighsResult(
@@ -324,7 +297,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
         ineq_duals=row_dual[:b_ub.size],
         eq_duals=row_dual[b_ub.size:],
         reduced_costs=np.where(at_bound, np.array(sol.col_dual), 0.0),
-        basis=highs.getBasis(), model=model)
+        basis=highs.getBasis(), model=highs)
 
 
 @dataclass(frozen=True)
@@ -334,7 +307,7 @@ class _Held:
     lp: ArrayLP             # the LP last solved under this name
     rows: tuple             # its ``<=`` rows, their signs and its ``=`` rows
     arrays: dict            # its ``A_ub``/``b_ub``/``A_eq``/``b_eq``
-    model: Loaded
+    model: _Highs           # HiGHS holding it, with its costs and bounds
     basis: object           # the basis of its first solve: a seed
 
 
@@ -364,6 +337,18 @@ def _split(lp: ArrayLP) -> tuple[tuple, dict]:
     if eq_rows.size:
         arrays["A_eq"], arrays["b_eq"] = lp.A[eq_rows], lp.rhs[eq_rows]
     return (ub_rows, sign, eq_rows), arrays
+
+
+def _patch(highs: _Highs, old: ArrayLP, lp: ArrayLP):
+    """Patch into ``highs``, which holds ``old``, the costs and column
+    bounds that differ in ``lp``."""
+    cols = np.flatnonzero(lp.c != old.c).astype(np.int32)
+    if cols.size:
+        highs.changeColsCost(cols.size, cols, lp.c[cols])
+    cols = np.flatnonzero((lp.lb != old.lb) | (lp.ub != old.ub)
+                          ).astype(np.int32)
+    if cols.size:
+        highs.changeColsBounds(cols.size, cols, lp.lb[cols], lp.ub[cols])
 
 
 def held(starts: dict, name: str) -> ArrayLP | None:
@@ -409,6 +394,8 @@ def solve(lp: ArrayLP, starts: dict | None = None,
     if solver is not None:
         kwargs["solver"] = solver
 
+    if hold is not None:
+        _patch(hold.model, hold.lp, lp)
     start = ({"model": hold.model} if hold is not None
              else {"basis": seed} if seed is not None else {})
     res = linprog(lp.c, **start, **kwargs)

@@ -4,9 +4,10 @@ Minimizes the piecewise-linear under-estimate of system cost subject to
 power/energy-ratio bounds and the investment budget.  Because every
 dispatch cost is nonnegative, ``z >= investment cost`` is a globally
 valid epigraph row; it keeps the first master solve bounded when no
-budget is set.  Tie-breaking among optimal plans is deterministic: a
-secondary solve minimizes total installed rating with a small bias
-towards low bus indices.
+budget is set.  The plan returned is the cut model's vertex shaded by a
+relative 1e-7 towards zero: it keeps the ratio and budget rows and lies
+on the low-storage side of any kink of the cost surface at the vertex,
+where prices (and so storage revenue) are ambiguous.
 """
 
 from __future__ import annotations
@@ -63,21 +64,16 @@ def _cut_rhs(cut: Cut) -> float:
     return rhs
 
 
-def _build_master(state: MasterState, z_level: float | None = None
-                  ) -> ArrayLP:
+def _build_master(state: MasterState) -> ArrayLP:
     """The cut model: a free ``z`` column, then a ``[p, e]`` rating pair
-    per candidate bus.  With ``z_level`` set it becomes the tie-break LP:
-    keep ``z`` within ``z_level`` and minimize total installed rating,
-    with a small bias towards low bus indices."""
+    per candidate bus."""
     tech = state.tech
     n = len(state.candidate_buses)
     lp = LPBuilder("master")
     z = lp.cols["z"] = lp.add_cols(())
-    lp.c[z] = 1.0 if z_level is None else 0.0
+    lp.c[z] = 1.0
     lp.lb[z] = -math.inf
     pe = lp.cols["pe"] = lp.add_cols((n, 2))
-    if z_level is not None:
-        lp.c[pe] = (1.0 + 1e-7 * np.arange(n))[:, None]
     ratio = lp.rows["ratio"] = lp.add_rows((n, 2))
     lp.set_rows(ratio[:, 0], GE, 0.0, (pe[:, 0], 1.0),
                 (pe[:, 1], -tech.rho_min))
@@ -98,14 +94,12 @@ def _build_master(state: MasterState, z_level: float | None = None
     buses = [pos[b] for cut in state.cuts for b in cut.buses]
     grads = [g for cut in state.cuts for g in zip(cut.g_p, cut.g_e)]
     lp.add_terms(rows[:, None], pe[buses], -np.reshape(grads, (-1, 2)))
-    if z_level is not None:
-        level = lp.rows["z_level"] = lp.add_rows(())
-        lp.set_rows(level, LE, z_level, (z, 1.0))
     return lp.build()
 
 
 def solve_master(state: MasterState) -> tuple[Plan, float]:
-    """Minimize the cut model; return the inquiry plan and the lower bound."""
+    """Minimize the cut model; return its plan, shaded towards zero, and
+    the lower bound."""
     if not state.cuts:
         raise MasterError("master requires at least one cut")
     lp = _build_master(state)
@@ -118,18 +112,10 @@ def solve_master(state: MasterState) -> tuple[Plan, float]:
         sol = lp_core.solve(lp, solver="ipm")
     if sol.status != "optimal":
         raise MasterError(f"master solve returned {sol.status}")
-    z = sol.objective
-
-    # deterministic tie-break: smallest total rating, low bus ids first
-    try:
-        tie_sol = lp_core.solve(
-            _build_master(state, z_level=z + 1e-7 * max(1.0, abs(z))))
-    except lp_core.LPError:
-        tie_sol = None
-    if tie_sol is not None and tie_sol.status == "optimal":
-        sol = tie_sol
-
-    return snapped_plan(state.candidate_buses, sol.x[lp.cols["pe"]]), z
+    # shading towards zero keeps the ratio rows, lowers the capital cost
+    # and moves the plan off a kink at the vertex to its low-storage side
+    pe = sol.x[lp.cols["pe"]] * (1 - 1e-7)
+    return snapped_plan(state.candidate_buses, pe), sol.objective
 
 
 def snapped_plan(buses: list[str], pe) -> Plan:

@@ -138,17 +138,19 @@ class Plan:
     def energy(self, bus: str) -> float:
         return self.ratings.get(bus, (0.0, 0.0))[1]
 
-    def installed_buses(self, eps: float = INSTALLED_EPS) -> list[str]:
-        return [b for b, (p, _) in self.ratings.items() if p > eps]
+    def installed_buses(self) -> list[str]:
+        return [b for b, (p, _) in self.ratings.items() if p > INSTALLED_EPS]
 
-    def is_empty(self, eps: float = INSTALLED_EPS) -> bool:
-        return not self.installed_buses(eps)
+    def is_empty(self) -> bool:
+        return not self.installed_buses()
 
     def investment_cost(self, tech: StorageTech) -> float:
         return sum(tech.c_p * p + tech.c_e * e for p, e in self.ratings.values())
 
-    def check_ratio_bounds(self, tech: StorageTech, tol: float = 1e-7):
-        """Raise ValueError naming the first bus violating the P/E ratio bounds."""
+    def check_ratio_bounds(self, tech: StorageTech):
+        """Raise ValueError naming the first bus violating the P/E ratio
+        bounds by more than 1e-7."""
+        tol = 1e-7
         for b, (p, e) in sorted(self.ratings.items()):
             if p < -tol or e < -tol:
                 raise ValueError(f"bus {b}: negative rating ({p}, {e})")

@@ -244,8 +244,8 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
                               net, days, sols, query, tech, state.starts)
         cut = assemble_cut(net, query, cs, grads, branch, nu)
         # the query mis-priced y when its cut does not raise the model
-        # at y (the model at y, not lb: the master's tie-break solve may
-        # return y above lb)
+        # at y (the model at y, not lb: the master shades y towards
+        # zero, off its vertex, so the model at y may lie above lb)
         at_y = _model_value(state, y)
         mispriced = cut.predicted_cost(y) <= at_y + 1e-9 * max(1.0, abs(at_y))
         state.add_cut(cut)
@@ -292,6 +292,8 @@ def outer_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
     """Enforce revenue >= chi * investment by iterative budget reduction."""
     if max_outer < 1:
         raise ValueError("max_outer must be at least 1")
+    if math.isnan(chi):
+        raise ValueError(f"chi must be a number, got {chi}")
     if chi < 1.0:
         warnings.warn(f"rate of return {chi} below 1 is vacuous; clamping to 1")
         chi = 1.0
@@ -324,9 +326,9 @@ def outer_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
     return result
 
 
-def format_report(result: PlanResult, schema_version: str = "1") -> str:
+def format_report(result: PlanResult) -> str:
     """PlanResult as structured text with a stable schema."""
-    lines = [f"schema_version = {schema_version}"]
+    lines = ["schema_version = 1"]
     lines.append(f"converged = {str(result.converged).lower()}")
     lines.append(f"return_unachievable = {str(result.return_unachievable).lower()}")
     lines.append(f"baseline_cost = {result.baseline_cost:.6f}")

@@ -74,6 +74,12 @@ class TestPlanCommand:
         assert run(base_args("plan", m2_files, config=config)) == 1
         assert f"{config}:2: infinite value" in capsys.readouterr().err
 
+    def test_nan_chi(self, m2_files, capsys):
+        assert run(base_args("plan", m2_files, chi="nan")) == 1
+        err = capsys.readouterr().err
+        assert "chi must be a number, got nan" in err
+        assert "budget" not in err
+
     def test_zero_outer_rounds(self, m2_files, capsys):
         config = m2_files["out"].parent / "run.cfg"
         config.write_text("max_outer = 0\n")

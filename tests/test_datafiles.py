@@ -130,9 +130,9 @@ class TestPlanRoundTrip:
 class TestConfig:
     def test_parse(self):
         cfg = parse_config("epsilon = 0.1\nchi = 1.2\nmax_iter = 50\n"
-                           "workers = 2\nseed = 7\nbudget_max = 100\n")
+                           "workers = 2\nbudget_max = 100\n")
         assert cfg == {"epsilon": 0.1, "chi": 1.2, "max_iter": 50,
-                       "workers": 2, "seed": 7, "budget_max": 100.0}
+                       "workers": 2, "budget_max": 100.0}
         assert isinstance(cfg["max_iter"], int)
 
     def test_integer_keys_reject_fractions(self):
@@ -145,6 +145,12 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ParseError, match="unknown config"):
             parse_config("verbosity = 3\n")
+
+    def test_seed_is_not_a_key(self):
+        """No command reads a seed, so a config naming one is rejected."""
+        with pytest.raises(ParseError,
+                           match="run.cfg:2: unknown config entry: 'seed = 7'"):
+            parse_config("epsilon = 0.1\nseed = 7\n", "run.cfg")
 
 
 class TestBundledData:

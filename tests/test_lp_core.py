@@ -337,8 +337,8 @@ def _assert_holds(starts, fresh):
     key = fresh.name
     store = {}
     lp_core.solve(fresh, store)
-    for a, b in zip(_held_arrays(starts[key].model.highs),
-                    _held_arrays(store[key].model.highs)):
+    for a, b in zip(_held_arrays(starts[key].model),
+                    _held_arrays(store[key].model)):
         assert np.array_equal(a, b)
 
 

@@ -127,15 +127,16 @@ class TestGolden:
     def test_three_buses_three_cuts_with_budget(self):
         """Ratings and bound pinned bit for bit: any change to how the
         master LP is assembled must hand HiGHS the same model.  The plan
-        is the tie-break LP's: within its ``z`` level on the cut model, and
-        it meets the ratio and budget rows."""
+        is the cut model's vertex shaded towards zero: within a relative
+        1e-7 of ``z`` on the cut model, and it meets the ratio and budget
+        rows."""
         state = three_bus_state()
         tech = state.tech
         plan, z = solve_master(state)
         assert z == 1758.8779069767443
         assert plan.ratings == {
-            "b1": (5.9825532537629185, 23.930213015051674),
-            "b3": (1.517499268285701, 6.069576896753845),
+            "b1": (5.982557541279081, 23.93023016511635),
+            "b3": (1.5174417087209282, 6.069766834883708),
         }
         model = max(cut.predicted_cost(plan) for cut in state.cuts)
         assert z <= model <= z + 1e-7 * abs(z)
@@ -160,11 +161,26 @@ class TestSolverFailure:
         monkeypatch.setattr(lp_core, "solve", simplex_fails_once)
         state = three_bus_state()
         plan, z = solve_master(state)
-        assert calls == [None, "ipm", None]    # master, retry, tie-break
+        assert calls == [None, "ipm"]    # master, retry
         assert z == pytest.approx(z_ref, rel=1e-12)
         for b, ratings in plan_ref.ratings.items():
             assert plan.ratings[b] == pytest.approx(ratings, rel=1e-6)
         plan.check_ratio_bounds(state.tech)
+
+
+class TestOneSolvePerCall:
+    def test_each_call_solves_one_lp(self, monkeypatch):
+        real, calls = lp_core.solve, []
+
+        def counted(lp, starts=None, solver=None):
+            calls.append(lp.name)
+            return real(lp, starts, solver)
+
+        monkeypatch.setattr(lp_core, "solve", counted)
+        state = three_bus_state()
+        for k in range(1, 4):
+            solve_master(state)
+            assert calls == ["master"] * k
 
 
 class TestState:

@@ -1,4 +1,5 @@
 import logging
+import math
 import sys
 
 import numpy as np
@@ -315,8 +316,8 @@ class TestOuterLoop:
             plan.check_ratio_bounds(inst.tech)
             assert plan.investment_cost(inst.tech) <= budget * (1 + 1e-9)
         # round 1's plan breaks round 2's budget, so round 2 starts from
-        # it scaled down; and the budget binds, up to the tie-break
-        # solve's shading of the master's plan below it
+        # it scaled down; and the budget binds, up to the master's
+        # shading of its plan towards zero
         assert res.outer_trace[0].investment_cost > budgets[1]
         assert max(plan.investment_cost(inst.tech)
                    for budget, plan in dispatched
@@ -356,6 +357,14 @@ class TestOuterLoop:
     def test_zero_rounds_rejected(self, m2):
         with pytest.raises(ValueError, match="max_outer must be at least 1"):
             outer_loop(m2.net, m2.days, m2.tech, chi=1.0, max_outer=0)
+
+    def test_nan_chi_rejected_before_any_solve(self, m2, monkeypatch):
+        solves = []
+        monkeypatch.setattr(lp_core, "solve",
+                            lambda lp, *args, **kwargs: solves.append(lp))
+        with pytest.raises(ValueError, match="chi must be a number, got nan"):
+            outer_loop(m2.net, m2.days, m2.tech, chi=math.nan)
+        assert solves == []
 
     def test_chi_below_one_clamped(self, m2):
         with pytest.warns(UserWarning, match="clamping"):
