@@ -18,10 +18,12 @@ class BenchRow:
     monolithic_cost: float
 
 
+_N_BUSES = 10   # buses of the benchmark network
+
+
 def scaling_benchmark(seed: int = 0, sizes: tuple[int, ...] = (1, 3, 5, 10),
-                      epsilon: float = 0.05,
-                      n_buses: int = 10) -> list[BenchRow]:
-    base = instances.random_instance(seed, n_buses=n_buses,
+                      epsilon: float = 0.05) -> list[BenchRow]:
+    base = instances.random_instance(seed, n_buses=_N_BUSES,
                                      n_days=max(sizes))
     rows = []
     for n in sizes:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input, 2 the solve stopped without
-reaching the convergence tolerance, 3 infeasible dispatch.
+reaching the convergence tolerance or HiGHS could not finish an LP,
+3 infeasible dispatch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .datafiles import ParseError
 from .dispatch import (DispatchInfeasibleError, export_dispatch_table,
                        export_price_table)
 from .model import Plan, validate_network
-from .scenario import ProfileError
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ProfileError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except DispatchInfeasibleError as exc:

@@ -187,6 +187,8 @@ def parse_tech(text: str, path: str = "<tech>") -> StorageTech:
         if len(toks) != 2:
             raise ParseError(path, lineno, f"expected 'field value': {line!r}")
         key = toks[0]
+        if key in fields:
+            raise ParseError(path, lineno, f"repeated tech field {key!r}")
         if key == "name":
             fields[key] = toks[1]
         elif key in _TECH_FIELDS:
@@ -241,6 +243,8 @@ def parse_config(text: str, path: str = "<config>") -> dict:
         if len(toks) != 2 or toks[0] not in keys:
             raise ParseError(path, lineno, f"unknown config entry: {line!r}")
         key, val = toks[0], _num(toks[1], path, lineno)
+        if key in out:
+            raise ParseError(path, lineno, f"repeated config entry {key!r}")
         if keys[key] is int and not val.is_integer():
             raise ParseError(path, lineno, f"{key} must be an integer: "
                                            f"{toks[1]!r}")

@@ -101,26 +101,28 @@ def neglmp() -> Instance:
     return Instance("neglmp", net, [day], tech)
 
 
-def _demand_shape(rng: np.random.Generator, n_hours: int) -> np.ndarray:
+_N_HOURS = 24   # hours in a day of a random instance
+
+
+def _demand_shape(rng: np.random.Generator) -> np.ndarray:
     """Double-peaked daily shape in [0.4, 1]."""
-    h = np.arange(n_hours)
+    h = np.arange(_N_HOURS)
     base = (0.55
             + 0.25 * np.exp(-((h - 8.5) ** 2) / 8.0)
             + 0.45 * np.exp(-((h - 18.5) ** 2) / 10.0))
-    noise = rng.uniform(0.95, 1.05, n_hours)
+    noise = rng.uniform(0.95, 1.05, _N_HOURS)
     shape = base * noise
     return shape / shape.max()
 
 
-def _solar_shape(rng: np.random.Generator, n_hours: int) -> np.ndarray:
-    h = np.arange(n_hours)
+def _solar_shape(rng: np.random.Generator) -> np.ndarray:
+    h = np.arange(_N_HOURS)
     shape = np.clip(np.sin((h - 5.0) / 14.0 * np.pi), 0.0, None)
-    return shape * rng.uniform(0.8, 1.0, n_hours)
+    return shape * rng.uniform(0.8, 1.0, _N_HOURS)
 
 
 def random_instance(seed: int, n_buses: int | None = None,
-                    n_days: int | None = None,
-                    n_hours: int = 24) -> Instance:
+                    n_days: int | None = None) -> Instance:
     """Seeded random planning instance.
 
     Networks span 5-20 buses with a connected line set, 3-8 generators
@@ -174,18 +176,18 @@ def random_instance(seed: int, n_buses: int | None = None,
 
     days = []
     for d in range(nd):
-        dshape = _demand_shape(rng, n_hours)
+        dshape = _demand_shape(rng)
         demand = {
             buses[int(b)]: tuple(peak * float(s) * dshape)
             for b, s in zip(load_buses, shares)
         }
         renewable = {}
         for b in ren_buses:
-            prof = _solar_shape(rng, n_hours) * peak * float(rng.uniform(0.1, 0.3))
+            prof = _solar_shape(rng) * peak * float(rng.uniform(0.1, 0.3))
             renewable[buses[int(b)]] = tuple(prof)
         days.append(TypicalDay(
             day_id=f"d{d + 1}", weight=float(rng.integers(1, 5)),
-            n_hours=n_hours, demand=demand, renewable=renewable,
+            n_hours=_N_HOURS, demand=demand, renewable=renewable,
             spill_max=dict(renewable), c_rs=0.0, phi_d=0.03, phi_r=0.05,
         ))
 

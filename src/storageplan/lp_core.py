@@ -19,11 +19,12 @@ An LP that is solved again and again (a day's dispatch, a marginal-unit
 LP) stays loaded in HiGHS between solves with its rows fixed: a
 re-solve patches only the costs and column bounds that changed and runs
 again from the model's own basis and factorization, and an LP's first
-load starts from the basis of an earlier LP of the same shape (see
-:func:`solve`).  Starts change only the simplex path, never the model,
-so the optimum is the same up to the choice among degenerate optimal
-vertices.  HiGHS is deterministic for identical input and start, so
-repeated solves return bit-identical solutions.
+load starts from the basis of an earlier LP of the same shape; every LP
+runs the retry ladder of :func:`solve`.  Starts change only the simplex
+path, never the model, so the optimum is the same up to the choice
+among degenerate optimal vertices.  HiGHS is deterministic for
+identical input and start, so repeated solves return bit-identical
+solutions.
 """
 
 from __future__ import annotations
@@ -311,18 +312,6 @@ class _Held:
     basis: object           # the basis of its first solve: a seed
 
 
-def _same_rows(a: ArrayLP, b: ArrayLP) -> bool:
-    """Whether ``a`` and ``b`` have the same matrix, row senses and
-    right-hand sides: shared arrays first, then equal values."""
-    if a.A is b.A and a.sense is b.sense and a.rhs is b.rhs:
-        return True
-    return (a.A.shape == b.A.shape and a.A.nnz == b.A.nnz
-            and np.array_equal(a.sense, b.sense)
-            and np.array_equal(a.rhs, b.rhs)
-            and all(np.array_equal(getattr(a.A, k), getattr(b.A, k))
-                    for k in ("indptr", "indices", "data")))
-
-
 def _split(lp: ArrayLP) -> tuple[tuple, dict]:
     """The ``<=``/``>=`` rows, negated for ``>=``, as ``A_ub``/``b_ub``
     and the equality rows as ``A_eq``/``b_eq``."""
@@ -357,8 +346,7 @@ def held(starts: dict, name: str) -> ArrayLP | None:
     return None if hold is None else hold.lp
 
 
-def solve(lp: ArrayLP, starts: dict | None = None,
-          solver: str | None = None) -> LPSolution:
+def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     """Solve to optimality, returning primal values, row duals and reduced costs.
 
     HiGHS receives the ``<=``/``>=`` rows, in model order and negated for
@@ -366,23 +354,28 @@ def solve(lp: ArrayLP, starts: dict | None = None,
 
     ``starts`` is a store of loaded models keyed by ``lp.name``; it keeps
     the model of every optimal solve.  A held model keeps its rows: when
-    the store holds ``lp``'s rows (matrix, senses and rhs) under that
-    name, the costs and column bounds that differ are patched into that
-    model and HiGHS runs again from its basis: the LP is neither split
-    nor loaded again.  Otherwise the LP is loaded, from the
+    ``lp`` shares the matrix, senses and rhs arrays of the LP held under
+    its name, the costs and column bounds that differ are patched into
+    that model and HiGHS runs again from its basis: the LP is neither
+    split nor loaded again.  Otherwise the LP is loaded, from the
     first-solve basis of the first held LP of its shape, if any.  A
-    started solve that does not end optimal is repeated cold, so a start
-    never changes an outcome.  A caller that re-solves an LP keeps its
-    rows fixed and changes only costs and bounds (see
-    :func:`storageplan.dispatch.solve_ed`).  ``solver`` is passed to
-    :func:`linprog`.
+    caller that re-solves an LP derives it from the held one with
+    :func:`dataclasses.replace`, changing only costs and bounds (see
+    :func:`storageplan.dispatch.solve_ed`).
+
+    Every LP runs the same ladder.  A started solve that does not end
+    optimal is repeated cold, so a start never changes an outcome.  A
+    cold solve that ends neither optimal, infeasible nor unbounded is
+    repeated once by interior point.
     """
     if lp.n_vars == 0:
         raise LPError("no variables")
     hold = seed = None
     if starts is not None:
         hold = starts.get(lp.name)
-        if hold is not None and not _same_rows(hold.lp, lp):
+        if hold is not None and not (lp.A is hold.lp.A
+                                     and lp.sense is hold.lp.sense
+                                     and lp.rhs is hold.lp.rhs):
             hold = None
         if hold is None:
             seed = next((h.basis for h in list(starts.values())
@@ -391,8 +384,6 @@ def solve(lp: ArrayLP, starts: dict | None = None,
                     else _split(lp))
     ub_rows, sign, eq_rows = rows
     kwargs = dict(arrays, bounds=np.column_stack((lp.lb, lp.ub)))
-    if solver is not None:
-        kwargs["solver"] = solver
 
     if hold is not None:
         _patch(hold.model, hold.lp, lp)
@@ -401,6 +392,11 @@ def solve(lp: ArrayLP, starts: dict | None = None,
     res = linprog(lp.c, **start, **kwargs)
     if res.status != 0 and start:
         res = linprog(lp.c, **kwargs)
+    if res.status not in _STATUS:
+        # HiGHS's dual simplex can stop short of the feasibility
+        # tolerances with an unknown status (seen on a master LP with
+        # nearly parallel cuts); its interior-point solver reaches them
+        res = linprog(lp.c, solver="ipm", **kwargs)
     status = _STATUS.get(res.status)
     if status != "optimal" and starts is not None:
         starts.pop(lp.name, None)

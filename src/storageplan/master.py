@@ -99,17 +99,13 @@ def _build_master(state: MasterState) -> ArrayLP:
 
 def solve_master(state: MasterState) -> tuple[Plan, float]:
     """Minimize the cut model; return its plan, shaded towards zero, and
-    the lower bound."""
+    the lower bound.  A cut model that HiGHS's dual simplex cannot finish
+    is solved again by interior point, as every LP is (see
+    :func:`lp_core.solve`)."""
     if not state.cuts:
         raise MasterError("master requires at least one cut")
     lp = _build_master(state)
-    try:
-        sol = lp_core.solve(lp)
-    except lp_core.LPError:
-        # on nearly parallel cuts HiGHS's dual simplex can stop short of
-        # the feasibility tolerances with an unknown status; its
-        # interior-point solver reaches them
-        sol = lp_core.solve(lp, solver="ipm")
+    sol = lp_core.solve(lp)
     if sol.status != "optimal":
         raise MasterError(f"master solve returned {sol.status}")
     # shading towards zero keeps the ratio rows, lowers the capital cost

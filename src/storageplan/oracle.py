@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 
 from . import lp_core
-from .dispatch import add_day_block
+from .dispatch import add_day_block, solve_ed
 from .lp_core import GE, LE, LPBuilder
 from .model import Network, Plan, StorageTech, TypicalDay
 
@@ -59,8 +59,13 @@ def solve_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
     t1 = time.perf_counter()
     sol = lp_core.solve(lp)
     t2 = time.perf_counter()
+    if sol.status == "infeasible":
+        # no plan is feasible, so neither is the zero plan: name its first
+        # infeasible day (solve_ed raises DispatchInfeasibleError)
+        for day in days:
+            solve_ed(net, day, Plan(), tech)
     if sol.status != "optimal":
-        raise RuntimeError(f"monolithic LP {sol.status}")
+        raise lp_core.LPError(f"monolithic LP {sol.status}")
     ratings = {}
     for b, p, e in zip(net.candidate_buses, sol.x[lp.cols["pR"]],
                        sol.x[lp.cols["eR"]]):

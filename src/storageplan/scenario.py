@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, ward
 
+from .datafiles import ParseError, _logical_lines
 from .model import TypicalDay
 
+# profile tables report their errors like every other input file
+ProfileError = ParseError
 
-class ProfileError(Exception):
-    def __init__(self, path, lineno, msg):
-        super().__init__(f"{path}:{lineno}: {msg}")
-        self.path = path
-        self.lineno = lineno
+_N_HOURS = 24   # hours in a day block of a profile table
 
 
 @dataclass
@@ -35,78 +34,74 @@ class ProfileSet:
     n_hours: int
 
 
-def load_profiles(text: str, path: str = "<profiles>",
-                  n_hours: int = 24) -> ProfileSet:
+def load_profiles(text: str, path: str = "<profiles>") -> ProfileSet:
     """Parse an hourly profile table.
 
-    The header row names the columns: ``hour`` followed by
+    The header row names the columns: ``hour`` followed by distinct
     ``<bus>:demand`` / ``<bus>:renewable`` entries; every following row
-    holds one hour.  The number of rows must be a multiple of
-    ``n_hours``; values must be finite and nonnegative.
+    holds one hour.  The number of rows must be a multiple of 24
+    (whole days); values must be finite and nonnegative.
     """
     rows: list[list[float]] = []
     header: list[str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _logical_lines(text):
         toks = line.split()
         if header is None:
             if toks[0].lower() != "hour":
-                raise ProfileError(path, lineno,
-                                   "header must start with 'hour'")
+                raise ParseError(path, lineno,
+                                 "header must start with 'hour'")
             header = toks[1:]
-            for col in header:
+            for k, col in enumerate(header):
                 parts = col.split(":")
                 if len(parts) != 2 or parts[1] not in ("demand", "renewable"):
-                    raise ProfileError(
+                    raise ParseError(
                         path, lineno,
                         f"bad column {col!r}; expected <bus>:demand or "
                         "<bus>:renewable")
+                if col in header[:k]:
+                    raise ParseError(path, lineno, f"duplicate column {col}")
             continue
         if len(toks) != len(header) + 1:
-            raise ProfileError(path, lineno,
-                               f"expected {len(header) + 1} columns, "
-                               f"got {len(toks)}")
+            raise ParseError(path, lineno,
+                             f"expected {len(header) + 1} columns, "
+                             f"got {len(toks)}")
         vals = []
         for col, tok in zip(header, toks[1:]):
             try:
                 v = float(tok)
             except ValueError:
-                raise ProfileError(path, lineno,
-                                   f"not a number in column {col}: {tok!r}"
-                                   ) from None
+                raise ParseError(path, lineno,
+                                 f"not a number in column {col}: {tok!r}"
+                                 ) from None
             if not math.isfinite(v):
-                raise ProfileError(path, lineno,
-                                   f"non-finite value in column {col}")
+                raise ParseError(path, lineno,
+                                 f"non-finite value in column {col}")
             if v < 0:
-                raise ProfileError(path, lineno,
-                                   f"negative value in column {col}")
+                raise ParseError(path, lineno,
+                                 f"negative value in column {col}")
             vals.append(v)
         rows.append(vals)
     if header is None:
-        raise ProfileError(path, 1, "empty profile file")
+        raise ParseError(path, 1, "empty profile file")
     if not rows:
-        raise ProfileError(path, 1, "no data rows")
-    if len(rows) % n_hours != 0:
-        raise ProfileError(path, len(rows) + 1,
-                           f"{len(rows)} rows is not a whole number of "
-                           f"{n_hours}-hour days")
+        raise ParseError(path, 1, "no data rows")
+    if len(rows) % _N_HOURS != 0:
+        raise ParseError(path, len(rows) + 1,
+                         f"{len(rows)} rows is not a whole number of "
+                         f"{_N_HOURS}-hour days")
     data = np.asarray(rows)
-    n_days = len(rows) // n_hours
+    n_days = len(rows) // _N_HOURS
     demand: dict[str, np.ndarray] = {}
     renewable: dict[str, np.ndarray] = {}
     buses: list[str] = []
     for j, col in enumerate(header):
         bus, kind = col.split(":")
-        series = data[:, j].reshape(n_days, n_hours)
+        series = data[:, j].reshape(n_days, _N_HOURS)
         target = demand if kind == "demand" else renewable
-        if bus in target:
-            raise ProfileError(path, 1, f"duplicate column {col}")
         target[bus] = series
         if bus not in buses:
             buses.append(bus)
-    return ProfileSet(buses, demand, renewable, n_days, n_hours)
+    return ProfileSet(buses, demand, renewable, n_days, _N_HOURS)
 
 
 def _feature_matrix(profiles: ProfileSet) -> np.ndarray:
@@ -139,8 +134,6 @@ def cluster_days(profiles: ProfileSet, k: int, c_rs: float = 0.0,
     feats = _feature_matrix(profiles)
     if k == profiles.n_days:
         labels = np.arange(profiles.n_days) + 1
-    elif profiles.n_days == 1:
-        labels = np.array([1])
     else:
         linkage = ward(feats)
         labels = fcluster(linkage, t=k, criterion="maxclust")

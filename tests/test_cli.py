@@ -1,8 +1,8 @@
 import pytest
 
-from storageplan import cli, datafiles
+from storageplan import cli, datafiles, lp_core
 from storageplan.instances import m2
-from storageplan.model import Plan
+from storageplan.model import Generator, Network, Plan, TypicalDay
 
 
 @pytest.fixture()
@@ -54,6 +54,21 @@ class TestPlanCommand:
                     if not l.startswith("# generated")]
         assert body(first) == body(second)
         assert first.splitlines()[0].startswith("# generated")
+
+    def test_unachievable_return(self, m2_files, capsys):
+        assert run(base_args("plan", m2_files, chi="50")) == 0
+        out = capsys.readouterr().out
+        assert "return_unachievable = true" in out
+        assert "required rate of return is unachievable; no storage built" \
+            in out
+
+    def test_iteration_limit_exit_code(self, m2_files, capsys):
+        config = m2_files["out"].parent / "run.cfg"
+        config.write_text("max_iter = 1\n")
+        assert run(base_args("plan", m2_files, config=config)) == 2
+        captured = capsys.readouterr()
+        assert "converged = false" in captured.out
+        assert "iteration limit reached" in captured.err
 
     def test_bad_epsilon(self, m2_files, capsys):
         assert run(base_args("plan", m2_files, epsilon="2.0")) == 1
@@ -137,6 +152,29 @@ class TestOracleCommand:
     def test_negative_budget(self, m2_files, capsys):
         assert run(base_args("oracle", m2_files, budget="-1")) == 1
         assert "budget must be nonnegative" in capsys.readouterr().err
+
+    def test_infeasible_case_names_its_day(self, m2_files, capsys):
+        # 50 MW of generation against 60 MW of demand in hour 2
+        net = Network(buses=("b1",), lines=(), candidate_buses=("b1",),
+                      generators=(Generator("g1", "b1", 50.0, 0.0, 1e6, 1e6,
+                                            20.0, 0.0, 0.0),))
+        day = TypicalDay(day_id="d1", weight=1.0, n_hours=3,
+                         demand={"b1": (40.0, 60.0, 40.0)},
+                         phi_d=0.0, phi_r=0.0)
+        m2_files["network"].write_text(datafiles.write_network(net))
+        m2_files["days"].write_text(datafiles.write_days([day]))
+        args = base_args("oracle", m2_files)
+        args[args.index("--tech") + 1] = "libes"
+        assert run(args) == 3
+        assert "error: dispatch infeasible on day d1 (hour 2)" \
+            in capsys.readouterr().err
+
+    def test_solver_failure_exit_code(self, m2_files, capsys, monkeypatch):
+        monkeypatch.setattr(lp_core, "linprog", lambda *args, **kwargs:
+                            lp_core.HighsResult(4, "Unknown", 0))
+        assert run(base_args("oracle", m2_files)) == 2
+        assert "error: solver failure on monolithic: Unknown" \
+            in capsys.readouterr().err
 
 
 class TestDispatchCommand:

@@ -112,6 +112,15 @@ class TestTechRoundTrip:
             parse_tech("c_p = 1\nc_e = 1\nrho_min = 2\nrho_max = 1\n"
                        "eta_ch = 0.9\neta_dis = 0.9\n")
 
+    @pytest.mark.parametrize("key", ["c_p", "name"])
+    def test_repeated_field_rejected(self, key):
+        text = write_tech(load_bundled_tech("libes"))
+        line = next(l for l in text.splitlines() if l.startswith(key))
+        n = len(text.splitlines()) + 1
+        with pytest.raises(ParseError, match=f"x.tech:{n}: repeated tech "
+                                             f"field '{key}'"):
+            parse_tech(text + line + "\n", "x.tech")
+
 
 class TestPlanRoundTrip:
     @given(finite_pos, finite_pos)
@@ -145,6 +154,11 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ParseError, match="unknown config"):
             parse_config("verbosity = 3\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ParseError, match="<config>:3: repeated config "
+                                             "entry 'epsilon'"):
+            parse_config("epsilon = 0.1\nchi = 2\nepsilon = 0.2\n")
 
     def test_seed_is_not_a_key(self):
         """No command reads a seed, so a config naming one is rejected."""

@@ -105,6 +105,16 @@ class TestBasicDispatch:
         with pytest.raises(DispatchInfeasibleError, match="hour 2"):
             solve_ed(net, day, Plan(), simple_tech())
 
+    def test_infeasible_only_across_hours_blames_coupling(self):
+        # each hour alone is feasible; 10 MW/h ramps cannot go 10 -> 40
+        net, day = one_bus(
+            [Generator("g1", "b1", 100.0, 0.0, 10.0, 10.0, 20.0, 0.0, 0.0)],
+            [10.0, 40.0])
+        with pytest.raises(DispatchInfeasibleError,
+                           match="inter-hour coupling") as info:
+            solve_ed(net, day, Plan(), simple_tech())
+        assert info.value.hour is None
+
     def test_plan_outside_candidates_rejected(self, m2):
         net = Network(m2.net.buses, m2.net.lines, m2.net.generators, ())
         with pytest.raises(ValueError, match="not a storage candidate"):

@@ -234,14 +234,33 @@ def test_cold_run_equals_scipy_linprog(planning_lps, kind, monkeypatch):
                           ref.lower.marginals + ref.upper.marginals)
 
 
+def _unknown_first(monkeypatch) -> list:
+    """Patch ``lp_core.linprog`` so that its first run ends in HiGHS's
+    unknown status; the list returned collects the ``solver`` of each
+    run."""
+    real, solvers = lp_core.linprog, []
+
+    def unknown_first(c, solver=None, **kwargs):
+        solvers.append(solver)
+        if len(solvers) == 1:
+            return lp_core.HighsResult(4, "Unknown", 0)
+        return real(c, solver=solver, **kwargs)
+
+    monkeypatch.setattr(lp_core, "linprog", unknown_first)
+    return solvers
+
+
 @pytest.mark.parametrize("kind", ["small", "master"])
-def test_interior_point_solver(planning_lps, kind):
-    """``solver="ipm"`` ends optimal at the dual simplex's bound, with row
-    duals and reduced costs: the dual simplex runs after the crossover
-    and sets up the basis they are read from."""
+def test_interior_point_solver(planning_lps, kind, monkeypatch):
+    """A cold solve that ends in an unknown status is repeated by
+    interior point, which ends optimal at the dual simplex's bound, with
+    row duals and reduced costs: the dual simplex runs after the
+    crossover and sets up the basis they are read from."""
     lp = small_lp() if kind == "small" else planning_lps[kind]
     ref = lp_core.solve(lp)
-    sol = lp_core.solve(lp, solver="ipm")
+    solvers = _unknown_first(monkeypatch)
+    sol = lp_core.solve(lp)
+    assert solvers == [None, "ipm"]
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
     assert sol.duals.shape == ref.duals.shape
@@ -399,23 +418,27 @@ def test_each_lp_is_loaded_once_per_planning_call(monkeypatch):
     assert len(names) - names.count("master") > len(held)
 
 
-def _boxed_small_lp(y_lo: float, y_hi: float):
-    """small_lp with ``y_lo <= y <= y_hi``: infeasible when ``y_hi < 1``."""
-    lp = small_lp()
+def _boxed_small_lp(y_lo: float, y_hi: float, base=None):
+    """small_lp, or ``base``'s rows, with ``y_lo <= y <= y_hi``:
+    infeasible when ``y_hi < 1``."""
+    lp = small_lp() if base is None else base
     return replace(lp, lb=np.array([0.0, y_lo]), ub=np.array([math.inf, y_hi]))
 
 
-def test_patched_lp_reaches_cold_outcomes():
+def test_patched_lp_reaches_cold_outcomes(monkeypatch):
     """Hot starts never change an outcome: a held LP patched infeasible
     and back to feasible through its column bounds gets the status and
     objective of fresh cold solves, and the store drops a model whose
     solve did not end optimal."""
     starts = {}
     key = "small"
-    outcomes = []
+    base = small_lp()
+    outcomes, runs = [], []
     for box in ((0.0, 1.0), (0.0, 0.5), (2.0, 4.0), (0.0, 3.0)):
-        lp = _boxed_small_lp(*box)
-        sol, cold = lp_core.solve(lp, starts), lp_core.solve(lp)
+        lp = _boxed_small_lp(*box, base)
+        sol, started = _solve_held(lp, starts, monkeypatch)
+        cold = lp_core.solve(lp)
+        runs.append(started)
         assert sol.status == cold.status
         assert (key in starts) == (cold.status == "optimal")
         if cold.status == "optimal":
@@ -424,6 +447,9 @@ def test_patched_lp_reaches_cold_outcomes():
         outcomes.append(cold.objective if cold.status == "optimal"
                         else cold.status)
     assert outcomes == [9.0, "infeasible", 10.0, 9.0]
+    # each re-solve of a held model runs hot; the infeasible one is
+    # repeated cold and dropped, so the next LP is loaded afresh
+    assert runs == [["cold"], ["model", "cold"], ["cold"], ["model"]]
 
 
 def _solve_held(lp, starts, monkeypatch):
@@ -510,7 +536,8 @@ def test_failed_hot_solve_is_repeated_cold(monkeypatch):
     """A re-solve of a held model that does not end optimal is loaded
     and solved again cold before its outcome is reported."""
     starts = {}
-    lp_core.solve(_boxed_small_lp(0.0, 1.0), starts)
+    base = _boxed_small_lp(0.0, 1.0)
+    lp_core.solve(base, starts)
     real = lp_core.linprog
     hot = []
 
@@ -521,8 +548,44 @@ def test_failed_hot_solve_is_repeated_cold(monkeypatch):
         return real(c, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", failing_hot)
-    sol = lp_core.solve(_boxed_small_lp(2.0, 4.0), starts)
+    sol = lp_core.solve(_boxed_small_lp(2.0, 4.0, base), starts)
     monkeypatch.undo()
     assert hot == [True, False]
     assert sol.status == "optimal"
     assert sol.objective == lp_core.solve(_boxed_small_lp(2.0, 4.0)).objective
+
+
+def test_held_lp_with_unknown_simplex_status_is_solved_by_interior_point(
+        monkeypatch):
+    """Every LP runs the same ladder: a re-solve of a held dispatch LP
+    whose simplex runs end in an unknown status, hot and then cold, is
+    solved by interior point to its cold optimum, and the model it
+    leaves held re-solves hot by simplex."""
+    inst = instances.random_instance(1, n_buses=10, n_days=1)
+    net, (day,), tech = inst.net, inst.days, inst.tech
+    buses = net.candidate_buses[:2]
+    small = Plan({b: (1.0, 2.0) for b in buses})
+    large = Plan({b: (6.0, 9.0) for b in buses})
+    starts = {}
+    solve_ed(net, day, small, tech, starts)
+    real, runs = lp_core.linprog, []
+
+    def simplex_unknown(c, basis=None, model=None, solver=None, **kwargs):
+        runs.append("model" if model is not None
+                    else "basis" if basis is not None else solver or "cold")
+        if solver is None:
+            return lp_core.HighsResult(4, "Unknown", 0)
+        return real(c, basis=basis, model=model, solver=solver, **kwargs)
+
+    monkeypatch.setattr(lp_core, "linprog", simplex_unknown)
+    sol = solve_ed(net, day, large, tech, starts)
+    monkeypatch.undo()
+    assert runs == ["model", "cold", "ipm"]
+    cold = lp_core.solve(build_ed(net, day, large, tech))
+    assert sol.cost == pytest.approx(cold.objective, rel=1e-9)
+    assert sol.duality_gap <= lp_core.GAP_TOL
+
+    again, started = _solve_held(
+        lp_core.held(starts, f"ed[{day.day_id}]"), starts, monkeypatch)
+    assert started == ["model"]
+    assert again.objective == pytest.approx(cold.objective, rel=1e-9)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from storageplan.model import Plan
+from storageplan.dispatch import DispatchInfeasibleError
+from storageplan.instances import simple_tech
+from storageplan.model import Generator, Network, Plan, TypicalDay
 from storageplan.oracle import (compare_to_oracle, build_monolithic,
                                 solve_monolithic)
 from storageplan.planner import evaluate_plan
@@ -18,6 +20,21 @@ class TestMonolithic:
     def test_negative_budget_rejected(self, m2, budget):
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             solve_monolithic(m2.net, m2.days, m2.tech, budget)
+
+    def test_infeasible_case_names_first_bad_day(self):
+        """Day d2 needs 160 MWh from at most 150 MWh of generation, so no
+        plan is feasible, and the zero plan's dispatch names the day and
+        the first hour that fail."""
+        net = Network(buses=("b1",), lines=(), candidate_buses=("b1",),
+                      generators=(Generator("g1", "b1", 50.0, 0.0, 1e6, 1e6,
+                                            20.0, 0.0, 0.0),))
+        days = [TypicalDay(day_id=d, weight=1.0, n_hours=3,
+                           demand={"b1": demand}, phi_d=0.0, phi_r=0.0)
+                for d, demand in (("d1", (40.0, 40.0, 40.0)),
+                                  ("d2", (40.0, 60.0, 60.0)))]
+        with pytest.raises(DispatchInfeasibleError,
+                           match=r"day d2 \(hour 2\)"):
+            solve_monolithic(net, days, simple_tech(), None)
 
     def test_worthless_storage(self, m1):
         res = solve_monolithic(m1.net, m1.days, m1.tech, None)

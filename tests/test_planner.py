@@ -267,6 +267,14 @@ class TestOuterLoop:
         budgets = [r.budget for r in res.outer_trace[1:]]
         assert all(a >= b for a, b in zip(budgets, budgets[1:]))
 
+    def test_running_out_of_rounds_is_not_converged(self, m2_outer):
+        inst = m2_outer
+        res = outer_loop(inst.net, inst.days, inst.tech, chi=5.0,
+                         budget_init=inst.budget, max_outer=1)
+        assert not res.converged and not res.return_unachievable
+        assert len(res.outer_trace) == 1
+        assert res.revenue < 5.0 * res.investment_cost
+
     def test_investment_non_increasing_in_chi(self, m2_outer):
         inst = m2_outer
         ces = []

@@ -36,6 +36,12 @@ class TestLoadProfiles:
         with pytest.raises(ProfileError, match="bad column"):
             load_profiles("hour b1:load\n0 5\n")
 
+    def test_duplicate_column_reported_at_header_line(self):
+        text = "# profiles\n\nhour b1:demand b1:demand\n0 5 6\n"
+        with pytest.raises(ProfileError,
+                           match="p.txt:3: duplicate column b1:demand"):
+            load_profiles(text, "p.txt")
+
     def test_wrong_column_count(self):
         with pytest.raises(ProfileError, match="columns"):
             load_profiles("hour b1:demand\n0 5 6\n")
