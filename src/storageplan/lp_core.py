@@ -4,10 +4,11 @@ This is the single numerical engine behind dispatch, the marginal-unit
 subproblem, the master problem and the monolithic baseline.  Every LP
 is assembled block by block with numpy by :class:`LPBuilder` into an
 :class:`ArrayLP`, whose named index grids read solutions back by
-slicing.  Solving runs HiGHS directly through the bindings bundled with
-scipy (:func:`linprog`), with the model and options that
-:func:`scipy.optimize.linprog` would hand it.  The wrapper fixes the
-dual sign convention used throughout the package:
+slicing.  Solving hands an :class:`ArrayLP` to HiGHS as written,
+through the bindings bundled with scipy (:func:`linprog`): its CSR
+matrix row by row in model order, and each row's sense as a pair of row
+bounds.  HiGHS's row duals then already follow the dual sign convention
+used throughout the package:
 
 * the dual of a row is d(objective)/d(rhs) of the row *as written*, so
   under minimization ``<=`` rows have nonpositive duals, ``>=`` rows
@@ -33,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array, csr_matrix, vstack
+from scipy.sparse import csr_matrix
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -52,22 +53,15 @@ FEAS_TOL = 1e-7
 GAP_TOL = 1e-8
 COMP_TOL = 1e-6
 
-# in the vocabulary of scipy.optimize.linprog(method="highs")
-_HIGHS_OPTIONS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
-# what scipy sets on HiGHS for those options
+# every HiGHS run: silent, presolved, by the dual simplex
 _RUN_OPTIONS = {
     "presolve": "on",
     "output_flag": False,
     "log_to_console": False,
     "simplex_strategy":
         int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-    "primal_feasibility_tolerance":
-        _HIGHS_OPTIONS["primal_feasibility_tolerance"],
-    "dual_feasibility_tolerance": _HIGHS_OPTIONS["dual_feasibility_tolerance"],
+    "primal_feasibility_tolerance": 1e-9,
+    "dual_feasibility_tolerance": 1e-9,
 }
 
 
@@ -184,85 +178,67 @@ class LPSolution:
 
 
 _MS = _highs.HighsModelStatus
-# HiGHS model status -> scipy.optimize.linprog status code (no time or
-# iteration limit is set, so scipy's code 1 cannot occur)
-_SCIPY_STATUS = {_MS.kOptimal: 0, _MS.kInfeasible: 2, _MS.kModelError: 2,
-                 _MS.kUnbounded: 3}
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+# an LP's outcomes; any other HiGHS model status (a model rejected at
+# load, a simplex stopped short) is a failure
+_STATUS = {_MS.kOptimal: "optimal", _MS.kInfeasible: "infeasible",
+           _MS.kUnbounded: "unbounded"}
+FAILED = "failed"
 
 
 @dataclass
 class HighsResult:
-    """One HiGHS run, in the terms of :func:`scipy.optimize.linprog`.
-
-    ``status`` is scipy's code (0 optimal, 2 infeasible, 3 unbounded,
-    4 other).  The solution fields are set
-    only when optimal; ``ineq_duals``/``eq_duals`` are the row duals of
-    ``A_ub``/``A_eq`` and ``basis`` is the final ``HighsBasis``.
-    ``model`` is the model HiGHS ran, for a later re-solve.
+    """One HiGHS run: ``status`` is a name of :data:`_STATUS` or
+    :data:`FAILED`, ``message`` HiGHS's name for its model status.  The
+    solution fields, in model order, are set only when optimal;
+    ``basis`` is the final ``HighsBasis``.  ``model`` is the model HiGHS
+    ran, for a later re-solve.
     """
 
-    status: int
+    status: str
     message: str
     nit: int
     fun: float = math.nan
     x: np.ndarray | None = None
-    ineq_duals: np.ndarray | None = None
-    eq_duals: np.ndarray | None = None
+    duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     basis: object = None
     model: _Highs | None = None
 
 
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
-            basis=None, model: _Highs | None = None,
+def linprog(lp: ArrayLP, *, basis=None, model: _Highs | None = None,
             solver: str | None = None) -> HighsResult:
-    """min ``c @ x`` s.t. ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq`` and
-    ``bounds[:, 0] <= x <= bounds[:, 1]``, solved by HiGHS.
-
-    HiGHS gets the model :func:`scipy.optimize.linprog` would build
-    (``A_ub`` rows, then ``A_eq`` rows, column-wise, with the options
-    of :data:`_HIGHS_OPTIONS`), so a cold solve returns what scipy
-    returns.  The model goes in through the array form of
-    ``passModel``, with every column marked continuous: the attribute
-    setters of ``HighsLp`` that scipy uses copy arrays element by
-    element.  With ``basis`` (the ``basis`` of an optimal result for an
-    LP of the same shape) the dual simplex starts from it and skips
+    """Run HiGHS on ``lp`` as written: ``A`` row-wise in model order, a
+    ``<=`` row as the row bounds ``(-inf, rhs)``, a ``>=`` row as
+    ``(rhs, inf)`` and an ``=`` row as ``(rhs, rhs)``, every column
+    continuous.  With ``basis`` (the ``basis`` of an optimal result for
+    an LP of the same shape) the dual simplex starts from it and skips
     presolve; a basis HiGHS rejects leaves the solve cold.
 
     With ``model`` (the ``model`` of an earlier result, since patched to
-    hold ``c``, ``bounds`` and the rows ``A_ub``/``b_ub`` over
-    ``A_eq``/``b_eq``) nothing is loaded: HiGHS runs again from the
-    model's own basis and factorization.
+    hold ``lp``) nothing is loaded: HiGHS runs again from the model's
+    own basis and factorization.
 
     ``solver`` is HiGHS's ``solver`` option for the first run of a model
     loaded here (``"ipm"``: interior point, then crossover to a vertex);
     the dual simplex then runs from where it stopped.  ``None`` leaves
     HiGHS its dual simplex alone.
     """
-    n = c.size
-    b_ub = np.empty(0) if b_ub is None else b_ub
-    b_eq = np.empty(0) if b_eq is None else b_eq
-    lb, ub = bounds.T.copy()
-
     highs = model
     if highs is None:
-        row_lower = np.concatenate((np.full(b_ub.size, -_highs.kHighsInf),
-                                    b_eq))
-        row_upper = np.concatenate((b_ub, b_eq))
-        mats = [m for m in (A_ub, A_eq) if m is not None]
-        A = csc_array(vstack(mats)) if mats else csc_array((0, n))
         highs = _Highs()
         for key, val in _RUN_OPTIONS.items():
             highs.setOptionValue(key, val)
         if solver is not None:
             highs.setOptionValue("solver", solver)
+        inf, A = _highs.kHighsInf, lp.A
         if highs.passModel(
-                n, row_upper.size, A.nnz, int(_highs.MatrixFormat.kColwise),
-                int(_highs.ObjSense.kMinimize), 0.0, c, lb, ub, row_lower,
-                row_upper, A.indptr, A.indices, A.data,
-                np.zeros(n, dtype=np.int32)) == _highs.HighsStatus.kError:
-            return HighsResult(_SCIPY_STATUS[_MS.kModelError],
+                lp.n_vars, lp.n_rows, A.nnz, int(_highs.MatrixFormat.kRowwise),
+                int(_highs.ObjSense.kMinimize), 0.0, lp.c, lp.lb, lp.ub,
+                np.where(lp.sense == SENSE[LE], -inf, lp.rhs),
+                np.where(lp.sense == SENSE[GE], inf, lp.rhs),
+                A.indptr, A.indices, A.data, np.zeros(lp.n_vars, np.int32)
+        ) == _highs.HighsStatus.kError:
+            return HighsResult(FAILED,
                                highs.modelStatusToString(_MS.kModelError), 0)
         if basis is not None:
             highs.setBasis(basis)
@@ -275,28 +251,26 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, bounds,
         highs.run()
     model_status = highs.getModelStatus()
     info = highs.getInfo()
-    status = _SCIPY_STATUS.get(model_status, 4)
+    status = _STATUS.get(model_status, FAILED)
     message = highs.modelStatusToString(model_status)
-    if model_status != _MS.kOptimal:
+    if status != "optimal":
         return HighsResult(status, message, info.simplex_iteration_count,
                            model=highs)
 
     sol = highs.getSolution()
-    row_dual = np.array(sol.row_dual)
-    # scipy reports a column dual only at a lower or upper bound: not for
+    # a column dual is reported only at a lower or upper bound: not for
     # basic columns, nor for nonbasic free columns (status kZero)
     basis_status, basic = highs.getBasicVariables()
     if basis_status != _highs.HighsStatus.kOk:
-        return HighsResult(4, f"{message}, but no basis",
+        return HighsResult(FAILED, f"{message}, but no basis",
                            info.simplex_iteration_count, model=highs)
-    at_bound = np.isfinite(lb) | np.isfinite(ub)
+    at_bound = np.isfinite(lp.lb) | np.isfinite(lp.ub)
     at_bound[basic[basic >= 0]] = False
     return HighsResult(
         status, message, info.simplex_iteration_count,
         fun=info.objective_function_value,
         x=np.array(sol.col_value),
-        ineq_duals=row_dual[:b_ub.size],
-        eq_duals=row_dual[b_ub.size:],
+        duals=np.array(sol.row_dual),
         reduced_costs=np.where(at_bound, np.array(sol.col_dual), 0.0),
         basis=highs.getBasis(), model=highs)
 
@@ -306,26 +280,8 @@ class _Held:
     """An LP held loaded in a start store (see :func:`solve`)."""
 
     lp: ArrayLP             # the LP last solved under this name
-    rows: tuple             # its ``<=`` rows, their signs and its ``=`` rows
-    arrays: dict            # its ``A_ub``/``b_ub``/``A_eq``/``b_eq``
     model: _Highs           # HiGHS holding it, with its costs and bounds
     basis: object           # the basis of its first solve: a seed
-
-
-def _split(lp: ArrayLP) -> tuple[tuple, dict]:
-    """The ``<=``/``>=`` rows, negated for ``>=``, as ``A_ub``/``b_ub``
-    and the equality rows as ``A_eq``/``b_eq``."""
-    ub_rows = np.flatnonzero(lp.sense != 0)
-    eq_rows = np.flatnonzero(lp.sense == 0)
-    sign = lp.sense[ub_rows].astype(float)
-    arrays = {}
-    if ub_rows.size:
-        A_ub = lp.A[ub_rows]
-        A_ub.data = A_ub.data * np.repeat(sign, np.diff(A_ub.indptr))
-        arrays["A_ub"], arrays["b_ub"] = A_ub, sign * lp.rhs[ub_rows]
-    if eq_rows.size:
-        arrays["A_eq"], arrays["b_eq"] = lp.A[eq_rows], lp.rhs[eq_rows]
-    return (ub_rows, sign, eq_rows), arrays
 
 
 def _patch(highs: _Highs, old: ArrayLP, lp: ArrayLP):
@@ -349,24 +305,22 @@ def held(starts: dict, name: str) -> ArrayLP | None:
 def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     """Solve to optimality, returning primal values, row duals and reduced costs.
 
-    HiGHS receives the ``<=``/``>=`` rows, in model order and negated for
-    ``>=``, as ``A_ub`` and the equality rows as ``A_eq``.
-
     ``starts`` is a store of loaded models keyed by ``lp.name``; it keeps
     the model of every optimal solve.  A held model keeps its rows: when
     ``lp`` shares the matrix, senses and rhs arrays of the LP held under
     its name, the costs and column bounds that differ are patched into
-    that model and HiGHS runs again from its basis: the LP is neither
-    split nor loaded again.  Otherwise the LP is loaded, from the
-    first-solve basis of the first held LP of its shape, if any.  A
-    caller that re-solves an LP derives it from the held one with
-    :func:`dataclasses.replace`, changing only costs and bounds (see
+    that model and HiGHS runs again from its basis: the LP is not loaded
+    again.  Otherwise the LP is loaded, from the first-solve basis of the
+    first held LP of its shape, if any.  A caller that re-solves an LP
+    derives it from the held one with :func:`dataclasses.replace`,
+    changing only costs and bounds (see
     :func:`storageplan.dispatch.solve_ed`).
 
     Every LP runs the same ladder.  A started solve that does not end
     optimal is repeated cold, so a start never changes an outcome.  A
     cold solve that ends neither optimal, infeasible nor unbounded is
-    repeated once by interior point.
+    repeated once by interior point; if that fails too, :class:`LPError`
+    names the LP.
     """
     if lp.n_vars == 0:
         raise LPError("no variables")
@@ -380,44 +334,29 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
         if hold is None:
             seed = next((h.basis for h in list(starts.values())
                          if h.lp.A.shape == lp.A.shape), None)
-    rows, arrays = ((hold.rows, hold.arrays) if hold is not None
-                    else _split(lp))
-    ub_rows, sign, eq_rows = rows
-    kwargs = dict(arrays, bounds=np.column_stack((lp.lb, lp.ub)))
-
     if hold is not None:
         _patch(hold.model, hold.lp, lp)
     start = ({"model": hold.model} if hold is not None
              else {"basis": seed} if seed is not None else {})
-    res = linprog(lp.c, **start, **kwargs)
-    if res.status != 0 and start:
-        res = linprog(lp.c, **kwargs)
-    if res.status not in _STATUS:
+    res = linprog(lp, **start)
+    if res.status != "optimal" and start:
+        res = linprog(lp)
+    if res.status == FAILED:
         # HiGHS's dual simplex can stop short of the feasibility
         # tolerances with an unknown status (seen on a master LP with
         # nearly parallel cuts); its interior-point solver reaches them
-        res = linprog(lp.c, solver="ipm", **kwargs)
-    status = _STATUS.get(res.status)
-    if status != "optimal" and starts is not None:
+        res = linprog(lp, solver="ipm")
+    if res.status != "optimal" and starts is not None:
         starts.pop(lp.name, None)
-    if status is None:
+    if res.status == FAILED:
         raise LPError(f"solver failure on {lp.name}: {res.message}")
-    if status != "optimal":
-        return LPSolution(status=status)
+    if res.status != "optimal":
+        return LPSolution(status=res.status)
     if starts is not None:
-        starts[lp.name] = _Held(lp, rows, arrays, res.model,
+        starts[lp.name] = _Held(lp, res.model,
                                 res.basis if hold is None else hold.basis)
-
-    duals = np.zeros(lp.n_rows)
-    duals[ub_rows] = sign * res.ineq_duals
-    duals[eq_rows] = res.eq_duals
-    return LPSolution(
-        status="optimal",
-        objective=float(res.fun),
-        x=res.x,
-        duals=duals,
-        reduced_costs=res.reduced_costs,
-    )
+    return LPSolution("optimal", float(res.fun), res.x, res.duals,
+                      res.reduced_costs)
 
 
 def dual_objective(sol: LPSolution, lp: ArrayLP) -> float:

@@ -102,15 +102,15 @@ class StorageTech:
     name: str = ""
 
     def __post_init__(self):
-        if not (0 < self.rho_min <= self.rho_max):
-            raise ValueError("need 0 < rho_min <= rho_max")
+        if not (0 < self.rho_min <= self.rho_max < math.inf):
+            raise ValueError("need 0 < rho_min <= rho_max < inf")
         if not (0 < self.eta_ch <= 1 and 0 < self.eta_dis <= 1):
             raise ValueError("efficiencies must be in (0, 1]")
-        if self.t_es <= 0:
-            raise ValueError("t_es must be positive")
-        for f in ("c_p", "c_e", "c_dis", "c_ch", "c_eu", "c_ed"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be nonnegative")
+        if not 0 < self.t_es < math.inf:
+            raise ValueError("t_es must be positive and finite")
+        for f in "c_p c_e c_dis c_ch c_eu c_ed t_ru t_rd".split():
+            if not 0 <= getattr(self, f) < math.inf:
+                raise ValueError(f"{f} must be nonnegative and finite")
 
 
 # A bus is treated as holding storage once its power rating exceeds this;

@@ -86,7 +86,7 @@ def load_profiles(text: str, path: str = "<profiles>") -> ProfileSet:
     if not rows:
         raise ParseError(path, 1, "no data rows")
     if len(rows) % _N_HOURS != 0:
-        raise ParseError(path, len(rows) + 1,
+        raise ParseError(path, lineno,   # the last data line
                          f"{len(rows)} rows is not a whole number of "
                          f"{_N_HOURS}-hour days")
     data = np.asarray(rows)

@@ -95,6 +95,13 @@ class TestPlanCommand:
         assert "chi must be a number, got nan" in err
         assert "budget" not in err
 
+    def test_negative_ramp_window(self, m2_files, capsys):
+        tech = m2_files["tech"]
+        tech.write_text(tech.read_text().replace("t_ru = 1.0", "t_ru = -1.0"))
+        assert run(base_args("plan", m2_files)) == 1
+        assert f"{tech}:1: t_ru must be nonnegative and finite" \
+            in capsys.readouterr().err
+
     def test_zero_outer_rounds(self, m2_files, capsys):
         config = m2_files["out"].parent / "run.cfg"
         config.write_text("max_outer = 0\n")
@@ -171,7 +178,8 @@ class TestOracleCommand:
 
     def test_solver_failure_exit_code(self, m2_files, capsys, monkeypatch):
         monkeypatch.setattr(lp_core, "linprog", lambda *args, **kwargs:
-                            lp_core.HighsResult(4, "Unknown", 0))
+                            lp_core.HighsResult(lp_core.FAILED, "Unknown",
+                                                0))
         assert run(base_args("oracle", m2_files)) == 2
         assert "error: solver failure on monolithic: Unknown" \
             in capsys.readouterr().err

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags_array
 
 from storageplan import (instances, lp_core, master, oracle, planner,
                          subgradient)
@@ -200,38 +200,64 @@ def planning_lps():
     }
 
 
-def _linprog_call(lp, monkeypatch):
-    """The arguments ``lp_core.solve`` hands ``lp_core.linprog`` for ``lp``."""
-    calls = []
-    real = lp_core.linprog
+def _scipy_linprog(lp):
+    """scipy.optimize.linprog on ``lp`` in scipy's form: the ``<=`` rows
+    and the negated ``>=`` rows as ``A_ub``, the ``=`` rows as ``A_eq``.
+    Returns the result and its row duals in model order and sign."""
+    ub = np.flatnonzero(lp.sense != 0)
+    eq = np.flatnonzero(lp.sense == 0)
+    sign = lp.sense[ub].astype(float)
+    tol = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
+    ref = scipy.optimize.linprog(
+        lp.c, A_ub=diags_array(sign) @ lp.A[ub], b_ub=sign * lp.rhs[ub],
+        A_eq=lp.A[eq], b_eq=lp.rhs[eq], bounds=np.column_stack((lp.lb, lp.ub)),
+        method="highs", options={k: lp_core._RUN_OPTIONS[k] for k in tol})
+    assert ref.status == 0
+    duals = np.zeros(lp.n_rows)
+    duals[ub] = sign * ref.ineqlin.marginals
+    duals[eq] = ref.eqlin.marginals
+    return ref, duals
 
-    def recording(c, **kwargs):
-        calls.append((c, kwargs))
-        return real(c, **kwargs)
 
-    monkeypatch.setattr(lp_core, "linprog", recording)
-    lp_core.solve(lp)
-    monkeypatch.undo()
-    (call,) = calls
-    return call
+@pytest.mark.parametrize("kind",
+                         ["dispatch", "sgsp", "master", "oracle", "small"])
+def test_cold_run_equals_scipy_linprog(planning_lps, kind):
+    """Pins the private HiGHS bindings against scipy.optimize.linprog: a
+    cold solve reaches scipy's optimum, with duals that prove it, and
+    where the optimum is unique (sgsp, master, small) scipy's vertex,
+    row duals and reduced costs.  HiGHS gets the rows in another layout than scipy hands it,
+    so on a degenerate LP it may stop at another optimal vertex."""
+    lp = small_lp() if kind == "small" else planning_lps[kind]
+    ref, ref_duals = _scipy_linprog(lp)
+    sol = lp_core.solve(lp)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-12)
+    assert lp_core.duality_gap(sol, lp) <= lp_core.GAP_TOL
+    assert lp_core.max_constraint_violation(sol, lp) <= lp_core.FEAS_TOL
+    assert lp_core.max_complementarity_violation(sol, lp) <= lp_core.COMP_TOL
+    if kind in ("sgsp", "master", "small"):
+        assert sol.x == pytest.approx(ref.x, abs=1e-9)
+        assert sol.duals == pytest.approx(ref_duals, abs=1e-9)
+        assert sol.reduced_costs == pytest.approx(
+            ref.lower.marginals + ref.upper.marginals, abs=1e-9)
 
 
-@pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master", "oracle"])
-def test_cold_run_equals_scipy_linprog(planning_lps, kind, monkeypatch):
-    """Pins the private HiGHS bindings: a cold run returns exactly what
-    scipy.optimize.linprog returns for the same arrays."""
-    c, kwargs = _linprog_call(planning_lps[kind], monkeypatch)
-    ours = lp_core.linprog(c, **kwargs)
-    ref = scipy.optimize.linprog(c, method="highs",
-                                 options=lp_core._HIGHS_OPTIONS, **kwargs)
-    assert ours.status == ref.status == 0
-    assert ours.nit == ref.nit > 0
-    assert ours.fun == ref.fun
-    assert np.array_equal(ours.x, ref.x)
-    assert np.array_equal(ours.ineq_duals, ref.ineqlin.marginals)
-    assert np.array_equal(ours.eq_duals, ref.eqlin.marginals)
-    assert np.array_equal(ours.reduced_costs,
-                          ref.lower.marginals + ref.upper.marginals)
+def test_rows_are_loaded_as_written():
+    """HiGHS holds small_lp's rows in model order, each sense as row
+    bounds: the ``>=`` cover row as [4, inf], the ``<=`` cap row as
+    [-inf, 3]."""
+    held = lp_core.linprog(small_lp()).model.getLp()
+    assert np.array_equal(held.row_lower_, [4.0, -math.inf])
+    assert np.array_equal(held.row_upper_, [math.inf, 3.0])
+
+
+def test_model_rejected_at_load_is_a_solver_failure():
+    """An LP HiGHS refuses to load (a NaN right-hand side) is an error
+    naming the LP, not an infeasible LP."""
+    lp = replace(small_lp(), rhs=np.array([math.nan, 3.0]))
+    assert lp_core.linprog(lp).status == lp_core.FAILED
+    with pytest.raises(LPError, match="solver failure on small"):
+        lp_core.solve(lp)
 
 
 def _unknown_first(monkeypatch) -> list:
@@ -240,11 +266,11 @@ def _unknown_first(monkeypatch) -> list:
     run."""
     real, solvers = lp_core.linprog, []
 
-    def unknown_first(c, solver=None, **kwargs):
+    def unknown_first(lp, solver=None, **kwargs):
         solvers.append(solver)
         if len(solvers) == 1:
-            return lp_core.HighsResult(4, "Unknown", 0)
-        return real(c, solver=solver, **kwargs)
+            return lp_core.HighsResult(lp_core.FAILED, "Unknown", 0)
+        return real(lp, solver=solver, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", unknown_first)
     return solvers
@@ -271,12 +297,11 @@ def test_interior_point_solver(planning_lps, kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master"])
-def test_restart_from_own_basis_takes_no_iterations(planning_lps, kind,
-                                                    monkeypatch):
-    c, kwargs = _linprog_call(planning_lps[kind], monkeypatch)
-    cold = lp_core.linprog(c, **kwargs)
-    warm = lp_core.linprog(c, basis=cold.basis, **kwargs)
-    assert warm.status == 0
+def test_restart_from_own_basis_takes_no_iterations(planning_lps, kind):
+    lp = planning_lps[kind]
+    cold = lp_core.linprog(lp)
+    warm = lp_core.linprog(lp, basis=cold.basis)
+    assert warm.status == "optimal"
     assert warm.nit == 0
     assert warm.fun == pytest.approx(cold.fun, rel=1e-12)
 
@@ -458,10 +483,10 @@ def _solve_held(lp, starts, monkeypatch):
     real = lp_core.linprog
     started = []
 
-    def recording(c, basis=None, model=None, **kwargs):
+    def recording(lp, basis=None, model=None, **kwargs):
         started.append("model" if model is not None
                        else "basis" if basis is not None else "cold")
-        return real(c, basis=basis, model=model, **kwargs)
+        return real(lp, basis=basis, model=model, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", recording)
     sol = lp_core.solve(lp, starts)
@@ -541,11 +566,11 @@ def test_failed_hot_solve_is_repeated_cold(monkeypatch):
     real = lp_core.linprog
     hot = []
 
-    def failing_hot(c, model=None, **kwargs):
+    def failing_hot(lp, model=None, **kwargs):
         hot.append(model is not None)
         if model is not None:
-            return lp_core.HighsResult(4, "forced failure", 0)
-        return real(c, **kwargs)
+            return lp_core.HighsResult(lp_core.FAILED, "forced failure", 0)
+        return real(lp, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", failing_hot)
     sol = lp_core.solve(_boxed_small_lp(2.0, 4.0, base), starts)
@@ -570,12 +595,12 @@ def test_held_lp_with_unknown_simplex_status_is_solved_by_interior_point(
     solve_ed(net, day, small, tech, starts)
     real, runs = lp_core.linprog, []
 
-    def simplex_unknown(c, basis=None, model=None, solver=None, **kwargs):
+    def simplex_unknown(lp, basis=None, model=None, solver=None, **kwargs):
         runs.append("model" if model is not None
                     else "basis" if basis is not None else solver or "cold")
         if solver is None:
-            return lp_core.HighsResult(4, "Unknown", 0)
-        return real(c, basis=basis, model=model, solver=solver, **kwargs)
+            return lp_core.HighsResult(lp_core.FAILED, "Unknown", 0)
+        return real(lp, basis=basis, model=model, solver=solver, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", simplex_unknown)
     sol = solve_ed(net, day, large, tech, starts)

@@ -153,11 +153,11 @@ class TestSolverFailure:
         plan_ref, z_ref = solve_master(three_bus_state())
         real, calls = lp_core.linprog, []
 
-        def simplex_fails_once(c, solver=None, **kwargs):
+        def simplex_fails_once(lp, solver=None, **kwargs):
             calls.append(solver)
             if len(calls) == 1:
-                return lp_core.HighsResult(4, "Unknown", 0)
-            return real(c, solver=solver, **kwargs)
+                return lp_core.HighsResult(lp_core.FAILED, "Unknown", 0)
+            return real(lp, solver=solver, **kwargs)
 
         monkeypatch.setattr(lp_core, "linprog", simplex_fails_once)
         state = three_bus_state()

@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, getcontext
 
 import pytest
@@ -91,6 +92,28 @@ class TestStorageTech:
         with pytest.raises(ValueError):
             StorageTech(c_p=-1, c_e=1, rho_min=0.1, rho_max=0.5,
                         eta_ch=0.9, eta_dis=0.9)
+
+    @pytest.mark.parametrize("field", ["t_ru", "t_rd"])
+    def test_negative_ramp_window_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+            StorageTech(c_p=1, c_e=1, rho_min=0.1, rho_max=0.5, eta_ch=0.9,
+                        eta_dis=0.9, **{field: -1.0})
+
+    @pytest.mark.parametrize("field", ["c_p", "c_e", "rho_min", "rho_max",
+                                       "eta_ch", "eta_dis", "c_dis", "c_ch",
+                                       "c_eu", "c_ed", "t_es", "t_ru", "t_rd"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        kwargs = dict(c_p=1, c_e=1, rho_min=0.1, rho_max=0.5, eta_ch=0.9,
+                      eta_dis=0.9)
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            StorageTech(**kwargs)
+
+    def test_zero_ramp_windows_accepted(self):
+        tech = StorageTech(c_p=1, c_e=1, rho_min=0.1, rho_max=0.5,
+                           eta_ch=0.9, eta_dis=0.9, t_ru=0.0, t_rd=0.0)
+        assert (tech.t_ru, tech.t_rd) == (0.0, 0.0)
 
 
 class TestPlan:

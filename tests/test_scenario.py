@@ -61,6 +61,11 @@ class TestLoadProfiles:
         with pytest.raises(ProfileError, match="whole number"):
             load_profiles(text)
 
+    def test_partial_day_reported_at_last_data_line(self):
+        with pytest.raises(ProfileError,
+                           match="p.txt:4: 1 rows is not a whole number"):
+            load_profiles("# c\n\nhour b1:demand\n0 5\n", "p.txt")
+
     def test_empty(self):
         with pytest.raises(ProfileError):
             load_profiles("")
