@@ -182,8 +182,7 @@ def _ratings(net: Network, plan: Plan, tech: StorageTech) -> np.ndarray:
     for b in plan.ratings:
         if b not in net.candidate_buses:
             raise ValueError(f"plan bus {b} is not a storage candidate")
-    pe = np.array([(plan.power(b), plan.energy(b))
-                   for b in net.candidate_buses], dtype=float).reshape(-1, 2)
+    pe = plan.grid(net.candidate_buses)
     return np.where(pe[:, :1] > INSTALLED_EPS, pe, 0.0)
 
 

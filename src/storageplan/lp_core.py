@@ -324,6 +324,8 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
     """
     if lp.n_vars == 0:
         raise LPError("no variables")
+    if not np.isfinite(lp.c).all():
+        raise LPError(f"non-finite cost in {lp.name}")
     hold = seed = None
     if starts is not None:
         hold = starts.get(lp.name)

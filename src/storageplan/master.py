@@ -1,7 +1,10 @@
 """Cutting-plane master problem over the investment variables.
 
 Minimizes the piecewise-linear under-estimate of system cost subject to
-power/energy-ratio bounds and the investment budget.  Because every
+power/energy-ratio bounds and the investment budget.  The investment
+variables are a ``[candidate, (p, e)]`` rating grid ``pe``, and each cut
+is the row ``z >= sampled_cost + sum(g * (pe - point))`` over it (see
+:class:`~storageplan.subgradient.Cut`).  Because every
 dispatch cost is nonnegative, ``z >= investment cost`` is a globally
 valid epigraph row; it keeps the first master solve bounded when no
 budget is set.  The plan returned is the cut model's vertex shaded by a
@@ -57,10 +60,10 @@ class MasterState:
 
 
 def _cut_rhs(cut: Cut) -> float:
-    """``sampled_cost - g @ point``, accumulated bus by bus."""
+    """``sampled_cost - sum(g * point)``, accumulated bus by bus."""
     rhs = cut.sampled_cost
-    for p0, e0, gp, ge in zip(cut.point_p, cut.point_e, cut.g_p, cut.g_e):
-        rhs -= gp * p0 + ge * e0
+    for term in (cut.g * cut.point).sum(axis=1):
+        rhs -= term
     return rhs
 
 
@@ -86,14 +89,11 @@ def _build_master(state: MasterState) -> ArrayLP:
     # dispatch costs are nonnegative, so system cost >= investment cost
     floor = lp.rows["capital_floor"] = lp.add_rows(())
     lp.set_rows(floor, GE, 0.0, (z, 1.0), (pe, -capital))
-    # cut k: z - g_k @ [p, e] >= sampled cost - g_k @ sampled point
+    # cut k: z - sum(g_k * pe) >= sampled cost - sum(g_k * point_k)
     cuts = lp.rows["cut"] = lp.add_rows(len(state.cuts))
     lp.set_rows(cuts, GE, [_cut_rhs(cut) for cut in state.cuts], (z, 1.0))
-    pos = {b: k for k, b in enumerate(state.candidate_buses)}
-    rows = np.repeat(cuts, [len(cut.buses) for cut in state.cuts])
-    buses = [pos[b] for cut in state.cuts for b in cut.buses]
-    grads = [g for cut in state.cuts for g in zip(cut.g_p, cut.g_e)]
-    lp.add_terms(rows[:, None], pe[buses], -np.reshape(grads, (-1, 2)))
+    lp.add_terms(cuts[:, None, None], pe, -np.reshape(
+        [cut.g for cut in state.cuts], (len(state.cuts), n, 2)))
     return lp.build()
 
 

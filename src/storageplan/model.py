@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Line:
@@ -138,6 +140,11 @@ class Plan:
     def energy(self, bus: str) -> float:
         return self.ratings.get(bus, (0.0, 0.0))[1]
 
+    def grid(self, buses) -> np.ndarray:
+        """The ``[bus, (p, e)]`` ratings of ``buses``, zero where absent."""
+        return np.array([self.ratings.get(b, (0.0, 0.0)) for b in buses],
+                        dtype=float).reshape(-1, 2)
+
     def installed_buses(self) -> list[str]:
         return [b for b, (p, _) in self.ratings.items() if p > INSTALLED_EPS]
 
@@ -148,10 +155,12 @@ class Plan:
         return sum(tech.c_p * p + tech.c_e * e for p, e in self.ratings.values())
 
     def check_ratio_bounds(self, tech: StorageTech):
-        """Raise ValueError naming the first bus violating the P/E ratio
-        bounds by more than 1e-7."""
+        """Raise ValueError naming the first bus with a non-finite rating
+        or violating the P/E ratio bounds by more than 1e-7."""
         tol = 1e-7
         for b, (p, e) in sorted(self.ratings.items()):
+            if not (math.isfinite(p) and math.isfinite(e)):
+                raise ValueError(f"bus {b}: non-finite rating ({p}, {e})")
             if p < -tol or e < -tol:
                 raise ValueError(f"bus {b}: negative rating ({p}, {e})")
             if e > INSTALLED_EPS:

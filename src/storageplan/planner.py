@@ -24,7 +24,7 @@ from .dispatch import (DispatchSolution, is_held, solve_ed,
 from .master import (MasterState, convergence_check, snapped_plan,
                      solve_master)
 from .model import Network, Plan, StorageTech, TypicalDay
-from .subgradient import Cut, assemble_cut, compute_subgradients
+from .subgradient import Cut, compute_subgradients
 
 log = logging.getLogger(__name__)
 
@@ -118,6 +118,18 @@ def total_revenue(days: list[TypicalDay], sols: dict[str, DispatchSolution],
                for day in days)
 
 
+def _result(days: list[TypicalDay], sols: dict[str, DispatchSolution],
+            plan: Plan, tech: StorageTech, **fields) -> PlanResult:
+    """The result at ``plan`` with the fields derived from its days'
+    dispatch ``sols``: day costs, revenue, investment cost and return."""
+    ce = plan.investment_cost(tech)
+    cr = total_revenue(days, sols, tech)
+    return PlanResult(plan=plan, day_costs={d: s.cost for d, s in sols.items()},
+                      revenue=cr, investment_cost=ce,
+                      achieved_return=(cr / ce) if ce > 0 else None,
+                      solutions=sols, **fields)
+
+
 def evaluate_plan(net: Network, days: list[TypicalDay], tech: StorageTech,
                   plan: Plan, workers: int = 1) -> PlanResult:
     """Dispatch all days at a fixed plan, then at the zero plan for the
@@ -133,16 +145,9 @@ def evaluate_plan(net: Network, days: list[TypicalDay], tech: StorageTech,
         baseline = _weighted_cost(
             days, dispatch_all(net, days, Plan(), tech, workers, starts),
             Plan(), tech)
-    ce = plan.investment_cost(tech)
-    cr = total_revenue(days, sols, tech)
-    return PlanResult(
-        plan=plan, system_cost=cost, baseline_cost=baseline,
-        day_costs={d: s.cost for d, s in sols.items()},
-        revenue=cr, investment_cost=ce,
-        achieved_return=(cr / ce) if ce > 0 else None,
-        converged=True, solutions=sols,
-        timings={"dispatch": time.perf_counter() - t0},
-    )
+    return _result(days, sols, plan, tech, system_cost=cost,
+                   baseline_cost=baseline, converged=True,
+                   timings={"dispatch": time.perf_counter() - t0})
 
 
 def _query_point(y: Plan, centre: Plan, step: float,
@@ -150,9 +155,8 @@ def _query_point(y: Plan, centre: Plan, step: float,
     """``step * y + (1 - step) * centre``, snapped as a master plan is.
     A convex combination of two plans that meet the ratio and budget
     rows meets them too."""
-    return snapped_plan(buses, [
-        (step * y.power(b) + (1 - step) * centre.power(b),
-         step * y.energy(b) + (1 - step) * centre.energy(b)) for b in buses])
+    return snapped_plan(buses,
+                        step * y.grid(buses) + (1 - step) * centre.grid(buses))
 
 
 def _within_budget(plan: Plan, tech: StorageTech,
@@ -169,8 +173,9 @@ def _within_budget(plan: Plan, tech: StorageTech,
 
 def _model_value(state: MasterState, plan: Plan) -> float:
     """The cut model at ``plan``: its highest cut, or the capital floor."""
+    pe = plan.grid(state.candidate_buses)
     return max([plan.investment_cost(state.tech)]
-               + [cut.predicted_cost(plan) for cut in state.cuts])
+               + [cut.predicted_cost(pe) for cut in state.cuts])
 
 
 def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
@@ -208,6 +213,7 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
                             tech=tech, budget=budget)
     else:
         state.budget = budget
+    buses = state.candidate_buses
     centre = _within_budget(state.best_plan, tech, budget)
     state.reset_bounds()
 
@@ -218,9 +224,9 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
                       state.starts)
         cs0 = _weighted_cost(days, sols0, zero, tech)
         state.baseline_cost = cs0
-        grads, branch = timed("subgradient", compute_subgradients,
-                              net, days, sols0, zero, tech, state.starts)
-        state.add_cut(assemble_cut(net, zero, cs0, grads, branch, 0))
+        grads = timed("subgradient", compute_subgradients,
+                      net, days, sols0, zero, tech, state.starts)
+        state.add_cut(Cut(zero.grid(buses), cs0, grads))
         best_sols = sols0
     state.record_sample(zero, state.baseline_cost)
 
@@ -233,21 +239,22 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         if convergence_check(state, epsilon):
             converged = True
             break
-        query = _query_point(y, centre, step, state.candidate_buses)
+        query = _query_point(y, centre, step, buses)
         sols = timed("dispatch", dispatch_all, net, days, query, tech,
                      workers, state.starts)
         cs = _weighted_cost(days, sols, query, tech)
         if cs < state.best_cost:
             best_sols, centre = sols, query
         state.record_sample(query, cs)
-        grads, branch = timed("subgradient", compute_subgradients,
-                              net, days, sols, query, tech, state.starts)
-        cut = assemble_cut(net, query, cs, grads, branch, nu)
+        grads = timed("subgradient", compute_subgradients,
+                      net, days, sols, query, tech, state.starts)
+        cut = Cut(query.grid(buses), cs, grads)
         # the query mis-priced y when its cut does not raise the model
         # at y (the model at y, not lb: the master shades y towards
         # zero, off its vertex, so the model at y may lie above lb)
         at_y = _model_value(state, y)
-        mispriced = cut.predicted_cost(y) <= at_y + 1e-9 * max(1.0, abs(at_y))
+        mispriced = cut.predicted_cost(y.grid(buses)) \
+            <= at_y + 1e-9 * max(1.0, abs(at_y))
         state.add_cut(cut)
         trace.append(IterationRecord(nu, lb, cs, state.best_cost,
                                      len(query.installed_buses()), step))
@@ -263,19 +270,11 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
     if best_sols is None:
         best_sols = timed("dispatch", dispatch_all, net, days, plan, tech,
                           workers, state.starts)
-    ce = plan.investment_cost(tech)
-    cr = total_revenue(days, best_sols, tech)
-    gap = state.best_cost - state.lower_bound
-    return PlanResult(
-        plan=plan, system_cost=state.best_cost,
-        baseline_cost=state.baseline_cost,
-        day_costs={d: s.cost for d, s in best_sols.items()},
-        revenue=cr, investment_cost=ce,
-        achieved_return=(cr / ce) if ce > 0 else None,
-        converged=converged, gap=gap, lower_bound=state.lower_bound,
-        iterations=trace, timings=timings, cuts=list(state.cuts),
-        solutions=best_sols,
-    )
+    return _result(days, best_sols, plan, tech, system_cost=state.best_cost,
+                   baseline_cost=state.baseline_cost, converged=converged,
+                   gap=state.best_cost - state.lower_bound,
+                   lower_bound=state.lower_bound, iterations=trace,
+                   timings=timings, cuts=list(state.cuts))
 
 
 def default_budget_min(tech: StorageTech) -> float:

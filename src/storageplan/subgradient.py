@@ -1,4 +1,4 @@
-"""Investment subgradients and cutting-plane cut assembly.
+"""Investment subgradients and cutting-plane cuts.
 
 At buses holding storage the weighted rating-constraint duals give the
 sensitivity of system cost to the power and energy ratings directly.
@@ -7,6 +7,11 @@ bind at zero rating), so the value of a marginal unit is found with a
 price-taker profit-maximization LP for a 1 MWh device whose power/energy
 ratio is itself optimized; its optimum is then projected onto the two
 rating coordinates.
+
+Subgradients, like the ratings they apply to, are ``[candidate, (p, e)]``
+grids in ``net.candidate_buses`` order.  A cut sampled at ratings
+``point`` is the row ``z >= sampled_cost + sum(g * (pe - point))`` over
+that grid.
 """
 
 from __future__ import annotations
@@ -21,30 +26,19 @@ from .lp_core import LPBuilder
 from .model import Network, Plan, StorageTech, TypicalDay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cut:
-    """One supporting (approximately) hyperplane of the system-cost surface.
+    """One supporting (approximately) hyperplane of the system-cost
+    surface, sampled at the ``[candidate, (p, e)]`` ratings ``point``
+    with the subgradient grid ``g``."""
 
-    ``point_p``/``point_e`` are the inquiry-point ratings and
-    ``g_p``/``g_e`` the subgradient entries, all aligned with ``buses``.
-    ``branch`` records which formula produced each entry ("BE" or "BN").
-    """
-
-    iteration: int
-    buses: tuple[str, ...]
-    point_p: tuple[float, ...]
-    point_e: tuple[float, ...]
+    point: np.ndarray
     sampled_cost: float
-    g_p: tuple[float, ...]
-    g_e: tuple[float, ...]
-    branch: tuple[str, ...]
+    g: np.ndarray
 
-    def predicted_cost(self, plan: Plan) -> float:
-        val = self.sampled_cost
-        for b, pp, pe, gp, ge in zip(self.buses, self.point_p, self.point_e,
-                                     self.g_p, self.g_e):
-            val += gp * (plan.power(b) - pp) + ge * (plan.energy(b) - pe)
-        return val
+    def predicted_cost(self, pe: np.ndarray) -> float:
+        """The cut's value at the ratings grid ``pe``."""
+        return self.sampled_cost + float(np.sum(self.g * (pe - self.point)))
 
 
 def subgrad_installed(sols: dict[str, DispatchSolution], weights: dict[str, float],
@@ -139,21 +133,19 @@ def split_subgradient(g0: float, rho0: float) -> tuple[float, float]:
 def compute_subgradients(net: Network, days: list[TypicalDay],
                          sols: dict[str, DispatchSolution], plan: Plan,
                          tech: StorageTech, starts: dict | None = None
-                         ) -> tuple[dict[str, tuple[float, float]],
-                                    dict[str, str]]:
-    """Subgradient pair and branch tag for every candidate bus; ``starts``
-    holds the marginal-unit LPs loaded (see :func:`solve_sgsp`)."""
+                         ) -> np.ndarray:
+    """The ``[candidate, (p, e)]`` subgradient grid at ``plan``: rating
+    duals at installed buses, the split marginal-unit value at empty
+    ones; ``starts`` holds the marginal-unit LPs loaded (see
+    :func:`solve_sgsp`)."""
     if starts is None:
         starts = {}
     weights = {day.day_id: day.weight for day in days}
-    grads = subgrad_installed(sols, weights, tech, plan)
-    branch = {b: "BE" for b in grads}
-    for b in net.candidate_buses:
-        if b not in grads:
-            grads[b] = split_subgradient(
-                *solve_sgsp(days, sols, tech, b, starts))
-            branch[b] = "BN"
-    return grads, branch
+    installed = subgrad_installed(sols, weights, tech, plan)
+    return np.array([
+        installed[b] if b in installed
+        else split_subgradient(*solve_sgsp(days, sols, tech, b, starts))
+        for b in net.candidate_buses], dtype=float).reshape(-1, 2)
 
 
 def revenue_identity(plan: Plan, subgrads: dict[str, tuple[float, float]],
@@ -164,23 +156,3 @@ def revenue_identity(plan: Plan, subgrads: dict[str, tuple[float, float]],
         gp, ge = subgrads[b]
         total -= (gp - tech.c_p) * p + (ge - tech.c_e) * e
     return total
-
-
-def assemble_cut(net: Network, plan: Plan, sampled_cost: float,
-                 subgrads: dict[str, tuple[float, float]],
-                 branch: dict[str, str], iteration: int) -> Cut:
-    buses = tuple(net.candidate_buses)
-    missing = [b for b in buses if b not in subgrads]
-    if missing:
-        raise ValueError(f"missing subgradient for buses {missing}")
-    return Cut(
-        iteration=iteration,
-        buses=buses,
-        point_p=tuple(plan.power(b) for b in buses),
-        point_e=tuple(plan.energy(b) for b in buses),
-        sampled_cost=sampled_cost,
-        g_p=tuple(subgrads[b][0] for b in buses),
-        g_e=tuple(subgrads[b][1] for b in buses),
-        branch=tuple(branch[b] for b in buses),
-    )
-

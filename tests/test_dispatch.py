@@ -11,7 +11,8 @@ from storageplan.dispatch import (DispatchInfeasibleError, build_ed,
 from storageplan.instances import simple_tech
 from storageplan.model import (INSTALLED_EPS, Generator, Network, Plan,
                                StorageTech, TypicalDay)
-from storageplan.subgradient import compute_subgradients
+from storageplan.subgradient import (compute_subgradients, solve_sgsp,
+                                     split_subgradient, subgrad_installed)
 
 
 def one_bus(gens, demand, **day_kw):
@@ -350,9 +351,20 @@ class TestGolden:
         at = plan if at_plan else Plan()
         sols = {d.day_id: solve_ed(inst.net, d, at, inst.tech)
                 for d in inst.days}
-        grads, branch = compute_subgradients(inst.net, inst.days, sols, at,
-                                             inst.tech)
+        grads = compute_subgradients(inst.net, inst.days, sols, at,
+                                     inst.tech)
         expect = GOLDEN_SUBGRAD_PLAN if at_plan else GOLDEN_SUBGRAD_ZERO
-        for b in inst.net.candidate_buses:
-            assert grads[b] == _golden(expect)
-            assert branch[b] == ("BE" if at_plan else "BN")
+        buses = inst.net.candidate_buses
+        for row in grads:
+            assert tuple(row) == _golden(expect)
+        # installed rows are the rating duals, empty rows the split
+        # marginal-unit values, solved in bus order from one store
+        if at_plan:
+            weights = {d.day_id: d.weight for d in inst.days}
+            installed = subgrad_installed(sols, weights, inst.tech, at)
+            rows = [installed[b] for b in buses]
+        else:
+            starts = {}
+            rows = [split_subgradient(*solve_sgsp(inst.days, sols, inst.tech,
+                                                  b, starts)) for b in buses]
+        assert np.array_equal(grads, rows)

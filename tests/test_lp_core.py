@@ -12,8 +12,7 @@ from storageplan import (instances, lp_core, master, oracle, planner,
 from storageplan.dispatch import build_ed, solve_ed
 from storageplan.lp_core import EQ, GE, LE, LPBuilder, LPError
 from storageplan.model import Plan
-from storageplan.subgradient import (assemble_cut, build_sgsp,
-                                     compute_subgradients)
+from storageplan.subgradient import Cut, build_sgsp, compute_subgradients
 
 
 X, Y = 0, 1          # columns of small_lp
@@ -189,9 +188,9 @@ def planning_lps():
     plan = Plan({b: (2.0, 4.0) for b in net.candidate_buses[:2]})
     sols = {d.day_id: solve_ed(net, d, plan, tech) for d in days}
     cost = sum(d.weight * sols[d.day_id].cost for d in days)
-    grads, branch = compute_subgradients(net, days, sols, plan, tech)
+    grads = compute_subgradients(net, days, sols, plan, tech)
     state = master.MasterState(list(net.candidate_buses), tech, inst.budget)
-    state.add_cut(assemble_cut(net, plan, cost, grads, branch, 0))
+    state.add_cut(Cut(plan.grid(net.candidate_buses), cost, grads))
     return {
         "dispatch": build_ed(net, days[0], plan, tech),
         "sgsp": build_sgsp(days, sols, tech, net.candidate_buses[-1]),
@@ -258,6 +257,20 @@ def test_model_rejected_at_load_is_a_solver_failure():
     assert lp_core.linprog(lp).status == lp_core.FAILED
     with pytest.raises(LPError, match="solver failure on small"):
         lp_core.solve(lp)
+
+
+@pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+def test_non_finite_cost_rejected_before_highs_runs(monkeypatch, cost):
+    """HiGHS takes a NaN cost and solves to a NaN objective, drops an
+    infinite one, and fails on a minus-infinite one; solve refuses all
+    three, naming the LP, and never runs HiGHS."""
+    runs = []
+    monkeypatch.setattr(lp_core, "linprog",
+                        lambda *args, **kwargs: runs.append(args))
+    lp = replace(small_lp(), c=np.array([cost, 3.0]))
+    with pytest.raises(LPError, match="non-finite cost in small"):
+        lp_core.solve(lp)
+    assert runs == []
 
 
 def _unknown_first(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from storageplan import lp_core
@@ -10,15 +11,10 @@ from storageplan.model import Plan
 from storageplan.subgradient import Cut
 
 
-def make_cut(iteration, point, cost, grad, buses=("b1",)):
-    n = len(buses)
-    return Cut(iteration=iteration, buses=tuple(buses),
-               point_p=tuple(p for p, _ in point),
-               point_e=tuple(e for _, e in point),
-               sampled_cost=cost,
-               g_p=tuple(g for g, _ in grad),
-               g_e=tuple(g for _, g in grad),
-               branch=("BN",) * n)
+def make_cut(point, cost, grad):
+    """A cut at the ``[bus, (p, e)]`` ratings ``point`` with subgradient
+    grid ``grad``."""
+    return Cut(np.array(point, float), cost, np.array(grad, float))
 
 
 def fresh_state(budget=None, tech=None):
@@ -30,7 +26,7 @@ class TestSingleCut:
     def test_capital_floor_bounds_unbudgeted_master(self):
         # one cut z >= 2100 - 19(p + e) intersects z >= p + e at p+e = 105
         state = fresh_state()
-        state.add_cut(make_cut(0, [(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
         plan, z = solve_master(state)
         assert z == pytest.approx(105.0, rel=1e-6)
         assert plan.power("b1") + plan.energy("b1") == pytest.approx(
@@ -38,7 +34,7 @@ class TestSingleCut:
 
     def test_budget_binds(self):
         state = fresh_state(budget=20.0)
-        state.add_cut(make_cut(0, [(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
         plan, z = solve_master(state)
         assert plan.investment_cost(state.tech) == pytest.approx(20.0)
         assert z == pytest.approx(2100.0 - 19.0 * 20.0)
@@ -52,8 +48,8 @@ class TestTwoCuts:
     def test_kink_intersection(self):
         # z >= 2100 - 19(p+e) and z >= 1700 + (p+e) meet at p+e = 20
         state = fresh_state()
-        state.add_cut(make_cut(0, [(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
-        state.add_cut(make_cut(1, [(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
+        state.add_cut(make_cut([(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
         plan, z = solve_master(state)
         assert z == pytest.approx(1720.0, rel=1e-6)
         assert plan.power("b1") + plan.energy("b1") == pytest.approx(
@@ -61,9 +57,9 @@ class TestTwoCuts:
 
     def test_more_cuts_never_lower_the_bound(self):
         state = fresh_state()
-        state.add_cut(make_cut(0, [(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
         _, z1 = solve_master(state)
-        state.add_cut(make_cut(1, [(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
+        state.add_cut(make_cut([(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
         _, z2 = solve_master(state)
         assert z2 >= z1 - 1e-6
 
@@ -73,7 +69,7 @@ class TestRatioRows:
         tech = simple_tech(rho_min=0.5, rho_max=1.5)
         state = fresh_state(budget=30.0, tech=tech)
         # pull only towards power: the ratio cap must hold it back
-        state.add_cut(make_cut(0, [(0.0, 0.0)], 2100.0, [(-50.0, -1.0)]))
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-50.0, -1.0)]))
         plan, _ = solve_master(state)
         p, e = plan.power("b1"), plan.energy("b1")
         assert p <= 1.5 * e + 1e-6
@@ -84,8 +80,8 @@ class TestDeterminism:
     def test_repeat_solves_identical(self):
         def run():
             state = fresh_state()
-            state.add_cut(make_cut(0, [(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
-            state.add_cut(make_cut(1, [(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
+            state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
+            state.add_cut(make_cut([(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
             return solve_master(state)
         (plan_a, za), (plan_b, zb) = run(), run()
         assert za == zb
@@ -97,9 +93,8 @@ class TestDeterminism:
         state = MasterState(candidate_buses=["b1", "b2"],
                             tech=simple_tech(), budget=None,
                             baseline_cost=2100.0)
-        state.add_cut(make_cut(0, [(0.0, 0.0), (0.0, 0.0)], 2100.0,
-                               [(-19.0, -19.0), (-19.0, -19.0)],
-                               buses=("b1", "b2")))
+        state.add_cut(make_cut([(0.0, 0.0), (0.0, 0.0)], 2100.0,
+                               [(-19.0, -19.0), (-19.0, -19.0)]))
         plan, z = solve_master(state)
         total = sum(p + e for p, e in plan.ratings.values())
         assert total == pytest.approx(105.0, rel=1e-4)
@@ -112,14 +107,14 @@ def three_bus_state():
     state = MasterState(candidate_buses=list(buses), tech=tech,
                         budget=30.0, baseline_cost=2100.0)
     state.add_cut(make_cut(
-        0, [(0.0, 0.0)] * 3, 2100.0,
-        [(-19.0, -11.0), (-7.5, -23.0), (-3.0, -2.0)], buses=buses))
+        [(0.0, 0.0)] * 3, 2100.0,
+        [(-19.0, -11.0), (-7.5, -23.0), (-3.0, -2.0)]))
     state.add_cut(make_cut(
-        1, [(4.0, 8.0), (1.0, 3.0), (0.0, 0.0)], 1890.0,
-        [(-6.0, -9.5), (-2.25, -14.0), (-4.0, -1.0)], buses=buses))
+        [(4.0, 8.0), (1.0, 3.0), (0.0, 0.0)], 1890.0,
+        [(-6.0, -9.5), (-2.25, -14.0), (-4.0, -1.0)]))
     state.add_cut(make_cut(
-        2, [(2.0, 6.0), (3.0, 5.0), (1.5, 2.5)], 1905.0,
-        [(-9.0, -3.0), (4.0, 6.0), (-12.0, -4.0)], buses=buses))
+        [(2.0, 6.0), (3.0, 5.0), (1.5, 2.5)], 1905.0,
+        [(-9.0, -3.0), (4.0, 6.0), (-12.0, -4.0)]))
     return state
 
 
@@ -138,7 +133,8 @@ class TestGolden:
             "b1": (5.982557541279081, 23.93023016511635),
             "b3": (1.5174417087209282, 6.069766834883708),
         }
-        model = max(cut.predicted_cost(plan) for cut in state.cuts)
+        pe = plan.grid(state.candidate_buses)
+        model = max(cut.predicted_cost(pe) for cut in state.cuts)
         assert z <= model <= z + 1e-7 * abs(z)
         plan.check_ratio_bounds(tech)
         assert plan.investment_cost(tech) <= 30.0 * (1 + 1e-12)
@@ -194,7 +190,7 @@ class TestState:
 
     def test_reset_keeps_cuts(self):
         state = fresh_state()
-        state.add_cut(make_cut(0, [(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
         state.record_sample(Plan(), 2100.0)
         state.lower_bound = 50.0
         state.reset_bounds()

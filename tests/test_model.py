@@ -143,6 +143,20 @@ class TestPlan:
         with pytest.raises(ValueError, match="bus b1"):
             Plan({"b1": (0.1, 1.0)}).check_ratio_bounds(tech)
 
+    @pytest.mark.parametrize("p, e", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf),
+        (1.0, math.inf)])
+    def test_non_finite_rating_rejected(self, p, e):
+        tech = StorageTech(c_p=1, c_e=1, rho_min=0.5, rho_max=2.0,
+                           eta_ch=1, eta_dis=1)
+        with pytest.raises(ValueError, match="bus b1: non-finite rating"):
+            Plan({"b1": (p, e)}).check_ratio_bounds(tech)
+
+    def test_grid(self):
+        plan = Plan({"b2": (1.0, 2.0)})
+        assert plan.grid(["b1", "b2"]).tolist() == [[0.0, 0.0], [1.0, 2.0]]
+        assert plan.grid([]).shape == (0, 2)
+
     @given(st.floats(0.5, 2.0), st.floats(0.01, 100.0))
     def test_ratio_bounds_property(self, rho, e):
         tech = StorageTech(c_p=1, c_e=1, rho_min=0.5, rho_max=2.0,

@@ -53,6 +53,13 @@ class TestEvaluatePlan:
         with pytest.raises(ValueError, match="bus b1"):
             evaluate_plan(m2.net, m2.days, m2.tech, Plan({"b1": (9.0, 1.0)}))
 
+    @pytest.mark.parametrize("p, e", [(math.nan, 1.0), (math.inf, math.inf)])
+    def test_non_finite_rating_names_bus(self, m2, p, e):
+        # a NaN rating used to price the plan at a NaN system cost, an
+        # infinite one to end in a solver failure
+        with pytest.raises(ValueError, match="bus b1: non-finite rating"):
+            evaluate_plan(m2.net, m2.days, m2.tech, Plan({"b1": (p, e)}))
+
     def test_one_cold_dispatch(self, rand_instance, monkeypatch):
         """The plan pass and the baseline pass share the held day LPs:
         only the first day's first load runs HiGHS without a start."""
@@ -216,9 +223,10 @@ class TestInnerLoop:
             if rec.step == 1.0:
                 assert query == y
             # cut k + 1 was found at this sweep's query
+            pe = y.grid(inst.net.candidate_buses)
             at_y = max([y.investment_cost(tech)]
-                       + [c.predicted_cost(y) for c in cuts[:k + 1]])
-            raised = cuts[k + 1].predicted_cost(y) > \
+                       + [c.predicted_cost(pe) for c in cuts[:k + 1]])
+            raised = cuts[k + 1].predicted_cost(pe) > \
                 at_y + 1e-9 * max(1.0, abs(at_y))
             if k + 1 < len(steps):
                 assert steps[k + 1] == (

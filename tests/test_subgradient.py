@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from storageplan.dispatch import solve_ed, storage_revenue
 from storageplan.model import Plan
 from storageplan.planner import evaluate_plan
-from storageplan.subgradient import (assemble_cut, compute_subgradients,
+from storageplan.subgradient import (Cut, compute_subgradients,
                                      revenue_identity, solve_sgsp,
                                      split_subgradient, subgrad_installed)
 
@@ -91,17 +91,25 @@ class TestInstalledBranch:
         fd = (f[8.0 + h] - f[8.0 - h]) / (2 * h)
         assert fd == pytest.approx(gp + ge, abs=1e-6)
 
-    def test_branch_tags(self, rand_instance):
+    def test_installed_and_empty_rows(self, rand_instance):
+        # the installed bus's row is its rating duals; the empty buses'
+        # rows are their split marginal-unit values, solved in bus order
+        # from one store
         inst = rand_instance(5)
-        b0 = inst.net.candidate_buses[0]
+        buses = inst.net.candidate_buses
+        b0 = buses[0]
         plan = Plan({b0: (5.0, 5.0)})
         sols = dispatch_map(inst, plan)
-        grads, branch = compute_subgradients(inst.net, inst.days, sols,
-                                             plan, inst.tech)
-        assert branch[b0] == "BE"
-        assert all(branch[b] == "BN"
-                   for b in inst.net.candidate_buses if b != b0)
-        assert set(grads) == set(inst.net.candidate_buses)
+        grads = compute_subgradients(inst.net, inst.days, sols, plan,
+                                     inst.tech)
+        assert grads.shape == (len(buses), 2)
+        weights = {d.day_id: d.weight for d in inst.days}
+        assert tuple(grads[0]) == subgrad_installed(sols, weights, inst.tech,
+                                                    plan)[b0]
+        starts = {}
+        empty = [split_subgradient(*solve_sgsp(inst.days, sols, inst.tech, b,
+                                               starts)) for b in buses[1:]]
+        assert np.array_equal(grads[1:], empty)
 
 
 class TestRevenueIdentity:
@@ -132,32 +140,26 @@ class TestCut:
     def test_zero_plan_cut_supports_true_cost(self, m2):
         zero = Plan()
         sols = dispatch_map(m2, zero)
-        grads, branch = compute_subgradients(m2.net, m2.days, sols, zero,
-                                             m2.tech)
-        cut = assemble_cut(m2.net, zero, 2100.0, grads, branch, 0)
+        grads = compute_subgradients(m2.net, m2.days, sols, zero, m2.tech)
+        cut = Cut(zero.grid(["b1"]), 2100.0, grads)
         for p, e in [(10.0, 10.0), (4.0, 1.0), (0.4, 4.0), (20.0, 20.0)]:
             true = evaluate_plan(m2.net, m2.days, m2.tech,
                                  Plan({"b1": (p, e)})).system_cost
-            assert cut.predicted_cost(Plan({"b1": (p, e)})) <= true + 1e-9
+            assert cut.predicted_cost(np.array([[p, e]])) <= true + 1e-9
 
     def test_predicted_cost_at_own_point(self, m2):
         plan = Plan({"b1": (8.0, 8.0)})
         sols = dispatch_map(m2, plan)
-        grads, branch = compute_subgradients(m2.net, m2.days, sols, plan,
-                                             m2.tech)
-        cut = assemble_cut(m2.net, plan, 1796.0, grads, branch, 1)
-        assert cut.predicted_cost(plan) == pytest.approx(1796.0)
-
-    def test_missing_bus_rejected(self, m2):
-        with pytest.raises(ValueError, match="missing subgradient"):
-            assemble_cut(m2.net, Plan(), 2100.0, {}, {}, 0)
+        grads = compute_subgradients(m2.net, m2.days, sols, plan, m2.tech)
+        pe = plan.grid(["b1"])
+        cut = Cut(pe, 1796.0, grads)
+        assert cut.predicted_cost(pe) == pytest.approx(1796.0)
 
     def test_zero_plan_cut_entries(self, m2):
         zero = Plan()
         sols = dispatch_map(m2, zero)
-        grads, branch = compute_subgradients(m2.net, m2.days, sols, zero,
-                                             m2.tech)
-        cut = assemble_cut(m2.net, zero, 2100.0, grads, branch, 0)
-        assert (cut.iteration, cut.buses, cut.branch) == (0, ("b1",), ("BN",))
-        assert cut.g_p == (pytest.approx(-19.0, abs=5e-7),)
-        assert cut.g_e == (pytest.approx(-19.0, abs=5e-7),)
+        grads = compute_subgradients(m2.net, m2.days, sols, zero, m2.tech)
+        # b1 is empty: its row is the split marginal-unit value
+        assert np.array_equal(grads, [split_subgradient(
+            *solve_sgsp(m2.days, sols, m2.tech, "b1"))])
+        assert grads.tolist() == [[pytest.approx(-19.0, abs=5e-7)] * 2]
