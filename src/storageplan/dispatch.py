@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lp_core
 from .lp_core import EQ, GE, LE, LPBuilder
-from .model import INSTALLED_EPS, Network, Plan, StorageTech, TypicalDay
+from .model import Network, Plan, StorageTech, TypicalDay, snapped
 
 
 class DispatchInfeasibleError(Exception):
@@ -176,14 +176,13 @@ def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
 
 
 def _ratings(net: Network, plan: Plan, tech: StorageTech) -> np.ndarray:
-    """Checked ``[candidate, (power, energy)]`` ratings, exactly zero
-    where nothing is installed."""
+    """Checked ``[candidate, (power, energy)]`` ratings, snapped: exactly
+    zero where nothing is installed."""
     plan.check_ratio_bounds(tech)
     for b in plan.ratings:
         if b not in net.candidate_buses:
             raise ValueError(f"plan bus {b} is not a storage candidate")
-    pe = plan.grid(net.candidate_buses)
-    return np.where(pe[:, :1] > INSTALLED_EPS, pe, 0.0)
+    return snapped(plan.grid(net.candidate_buses))
 
 
 def build_ed(net: Network, day: TypicalDay, plan: Plan, tech: StorageTech

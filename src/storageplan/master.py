@@ -7,10 +7,12 @@ is the row ``z >= sampled_cost + sum(g * (pe - point))`` over it (see
 :class:`~storageplan.subgradient.Cut`).  Because every
 dispatch cost is nonnegative, ``z >= investment cost`` is a globally
 valid epigraph row; it keeps the first master solve bounded when no
-budget is set.  The plan returned is the cut model's vertex shaded by a
-relative 1e-7 towards zero: it keeps the ratio and budget rows and lies
-on the low-storage side of any kink of the cost surface at the vertex,
-where prices (and so storage revenue) are ambiguous.
+budget is set.  The master returns a ratings grid: the cut model's
+vertex shaded by a relative 1e-7 towards zero, then
+:func:`~storageplan.model.snapped`.  Shading keeps the ratio and budget
+rows and puts the grid on the low-storage side of any kink of the cost
+surface at the vertex, where prices (and so storage revenue) are
+ambiguous.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import lp_core
 from .lp_core import GE, LE, ArrayLP, LPBuilder
-from .model import INSTALLED_EPS, Plan, StorageTech
+from .model import StorageTech, snapped
 from .subgradient import Cut
 
 
@@ -37,25 +39,28 @@ class MasterState:
     budget: float | None          # None means no investment limit
     baseline_cost: float = math.nan   # system cost of the zero plan
     cuts: list[Cut] = field(default_factory=list)
-    best_cost: float = math.inf
-    best_plan: Plan = field(default_factory=Plan)
-    lower_bound: float = -math.inf
+    best_cost: float = field(init=False)
+    best: np.ndarray = field(init=False)    # ratings grid of the best sample
+    lower_bound: float = field(init=False)
     # the dispatch and marginal-unit LPs held loaded in HiGHS (see
     # lp_core.solve), shared by the inner loops of one planning call
     starts: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        self.reset_bounds()
+
     def add_cut(self, cut: Cut):
         self.cuts.append(cut)
 
-    def record_sample(self, plan: Plan, cost: float):
+    def record_sample(self, pe: np.ndarray, cost: float):
         if cost < self.best_cost:
             self.best_cost = cost
-            self.best_plan = plan
+            self.best = pe
 
     def reset_bounds(self):
         """Start a fresh inner loop (cuts are kept; they stay valid)."""
         self.best_cost = math.inf
-        self.best_plan = Plan()
+        self.best = np.zeros((len(self.candidate_buses), 2))
         self.lower_bound = -math.inf
 
 
@@ -97,11 +102,11 @@ def _build_master(state: MasterState) -> ArrayLP:
     return lp.build()
 
 
-def solve_master(state: MasterState) -> tuple[Plan, float]:
-    """Minimize the cut model; return its plan, shaded towards zero, and
-    the lower bound.  A cut model that HiGHS's dual simplex cannot finish
-    is solved again by interior point, as every LP is (see
-    :func:`lp_core.solve`)."""
+def solve_master(state: MasterState) -> tuple[np.ndarray, float]:
+    """Minimize the cut model; return its ratings grid, shaded towards
+    zero and snapped, and the lower bound.  A cut model that HiGHS's
+    dual simplex cannot finish is solved again by interior point, as
+    every LP is (see :func:`lp_core.solve`)."""
     if not state.cuts:
         raise MasterError("master requires at least one cut")
     lp = _build_master(state)
@@ -109,22 +114,8 @@ def solve_master(state: MasterState) -> tuple[Plan, float]:
     if sol.status != "optimal":
         raise MasterError(f"master solve returned {sol.status}")
     # shading towards zero keeps the ratio rows, lowers the capital cost
-    # and moves the plan off a kink at the vertex to its low-storage side
-    pe = sol.x[lp.cols["pe"]] * (1 - 1e-7)
-    return snapped_plan(state.candidate_buses, pe), sol.objective
-
-
-def snapped_plan(buses: list[str], pe) -> Plan:
-    """The plan rating each bus at its ``[p, e]`` row of ``pe``.
-    Negative ratings clip to zero, and a bus whose ratings are both at or
-    below ``INSTALLED_EPS`` is left out, so dispatch treats it as
-    empty."""
-    ratings = {}
-    for b, (p, e) in zip(buses, pe):
-        p, e = max(0.0, float(p)), max(0.0, float(e))
-        if p > INSTALLED_EPS or e > INSTALLED_EPS:
-            ratings[b] = (p, e)
-    return Plan(ratings)
+    # and moves the grid off a kink at the vertex to its low-storage side
+    return snapped(sol.x[lp.cols["pe"]] * (1 - 1e-7)), sol.objective
 
 
 def convergence_check(state: MasterState, epsilon: float) -> bool:

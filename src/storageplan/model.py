@@ -4,6 +4,9 @@ All quantities use a consistent unit system: power in MW, energy in MWh,
 money in an abstract currency ("money", USD magnitudes in the bundled
 data), time in hours.  Types are frozen dataclasses and safe to share
 across worker threads.
+
+The investment decision is a ``[candidate, (p, e)]`` ratings grid, or a
+:class:`Plan` keyed by bus; :func:`snapped` decides which bus holds it.
 """
 
 from __future__ import annotations
@@ -120,19 +123,27 @@ class StorageTech:
 INSTALLED_EPS = 1e-4
 
 
+def snapped(pe) -> np.ndarray:
+    """The ``[candidate, (p, e)]`` ratings ``pe`` as installed: negative
+    ratings clipped to zero, and every row whose power rating is at or
+    below ``INSTALLED_EPS`` zeroed, energy too.  This is the one rule for
+    which bus holds storage."""
+    pe = np.maximum(np.asarray(pe, dtype=float).reshape(-1, 2), 0.0)
+    return np.where(pe[:, :1] > INSTALLED_EPS, pe, 0.0)
+
+
 @dataclass(frozen=True)
 class Plan:
-    """Installed power/energy ratings per bus; absent buses mean zero."""
+    """Power/energy ratings per bus; absent buses mean zero.  Only
+    ``(0, 0)`` entries are dropped, so :meth:`check_ratio_bounds` can name
+    a negative or non-finite rating."""
 
     ratings: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {
-            b: (float(p), float(e))
-            for b, (p, e) in self.ratings.items()
-            if p > 0 or e > 0
-        }
-        object.__setattr__(self, "ratings", clean)
+        object.__setattr__(self, "ratings", {
+            b: (float(p), float(e)) for b, (p, e) in self.ratings.items()
+            if (p, e) != (0, 0)})
 
     def power(self, bus: str) -> float:
         return self.ratings.get(bus, (0.0, 0.0))[0]

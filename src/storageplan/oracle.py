@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import lp_core
 from .dispatch import add_day_block, solve_ed
 from .lp_core import GE, LE, LPBuilder
-from .model import Network, Plan, StorageTech, TypicalDay
+from .model import Network, Plan, StorageTech, TypicalDay, snapped
 
 
 @dataclass
@@ -46,7 +46,7 @@ def build_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
     for day in days:
         add_day_block(lp, net, day, tech, list(net.candidate_buses),
                       weight=day.weight, p_col=pR, e_col=eR)
-    lp.cols = {"pR": pR, "eR": eR}
+    lp.cols = {"rating": ratings}
     return lp.build()
 
 
@@ -66,13 +66,10 @@ def solve_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
             solve_ed(net, day, Plan(), tech)
     if sol.status != "optimal":
         raise lp_core.LPError(f"monolithic LP {sol.status}")
-    ratings = {}
-    for b, p, e in zip(net.candidate_buses, sol.x[lp.cols["pR"]],
-                       sol.x[lp.cols["eR"]]):
-        if p > 1e-7 or e > 1e-7:
-            ratings[b] = (max(float(p), 0.0), max(float(e), 0.0))
+    pe = snapped(sol.x[lp.cols["rating"]])
     return OracleResult(
-        plan=Plan(ratings), system_cost=sol.objective,
+        plan=Plan(dict(zip(net.candidate_buses, pe))),
+        system_cost=sol.objective,
         build_time=t1 - t0, solve_time=t2 - t1,
         rows=lp.n_rows, cols=lp.n_vars, nonzeros=lp.nnz(),
     )

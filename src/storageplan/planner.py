@@ -19,11 +19,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dispatch import (DispatchSolution, is_held, solve_ed,
                        storage_revenue)
-from .master import (MasterState, convergence_check, snapped_plan,
-                     solve_master)
-from .model import Network, Plan, StorageTech, TypicalDay
+from .master import MasterState, convergence_check, solve_master
+from .model import Network, Plan, StorageTech, TypicalDay, snapped
 from .subgradient import Cut, compute_subgradients
 
 log = logging.getLogger(__name__)
@@ -139,42 +140,34 @@ def evaluate_plan(net: Network, days: list[TypicalDay], tech: StorageTech,
     starts: dict = {}
     sols = dispatch_all(net, days, plan, tech, workers, starts)
     cost = _weighted_cost(days, sols, plan, tech)
-    if plan.is_empty():
-        baseline = cost
-    else:
-        baseline = _weighted_cost(
-            days, dispatch_all(net, days, Plan(), tech, workers, starts),
-            Plan(), tech)
+    # a plan with nothing installed dispatches as the zero plan does
+    zero_sols = sols if plan.is_empty() else dispatch_all(
+        net, days, Plan(), tech, workers, starts)
+    baseline = _weighted_cost(days, zero_sols, Plan(), tech)
     return _result(days, sols, plan, tech, system_cost=cost,
                    baseline_cost=baseline, converged=True,
                    timings={"dispatch": time.perf_counter() - t0})
 
 
-def _query_point(y: Plan, centre: Plan, step: float,
-                 buses: list[str]) -> Plan:
-    """``step * y + (1 - step) * centre``, snapped as a master plan is.
-    A convex combination of two plans that meet the ratio and budget
-    rows meets them too."""
-    return snapped_plan(buses,
-                        step * y.grid(buses) + (1 - step) * centre.grid(buses))
+def _capital(pe: np.ndarray, tech: StorageTech) -> float:
+    """Investment cost of the ratings grid ``pe``, summed row by row in
+    candidate order as :meth:`Plan.investment_cost` sums a plan."""
+    return sum(tech.c_p * p + tech.c_e * e for p, e in pe)
 
 
-def _within_budget(plan: Plan, tech: StorageTech,
-                   budget: float | None) -> Plan:
-    """``plan`` scaled down onto the budget when it costs more; scaling
+def _within_budget(pe: np.ndarray, tech: StorageTech,
+                   budget: float | None) -> np.ndarray:
+    """``pe`` scaled down onto the budget when it costs more; scaling
     keeps the ratio rows."""
-    ce = plan.investment_cost(tech)
+    ce = _capital(pe, tech)
     if budget is None or ce <= budget:
-        return plan
-    scale = budget / ce
-    return snapped_plan(list(plan.ratings), [
-        (p * scale, e * scale) for p, e in plan.ratings.values()])
+        return pe
+    return snapped(pe * (budget / ce))
 
 
-def _model_value(state: MasterState, plan: Plan) -> float:
-    """The cut model at ``plan``: its highest cut, or the capital floor."""
-    pe = plan.grid(state.candidate_buses)
-    return max([plan.investment_cost(state.tech)]
+def _model_value(state: MasterState, pe: np.ndarray) -> float:
+    """The cut model at ``pe``: its highest cut, or the capital floor."""
+    return max([_capital(pe, state.tech)]
                + [cut.predicted_cost(pe) for cut in state.cuts])
 
 
@@ -185,13 +178,13 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
     """Cutting-plane search for the best plan within the budget.
 
     Each sweep dispatches the in-out query point between the master's
-    plan ``y`` and the centre, the best plan sampled so far.  When the
-    cut found there does not raise the cut model at ``y`` (the query
-    mis-priced ``y``), the next sweep dispatches ``y`` itself.
+    ratings grid ``y`` and the centre, the best grid sampled so far.
+    When the cut found there does not raise the cut model at ``y`` (the
+    query mis-priced ``y``), the next sweep dispatches ``y`` itself.
 
     A pre-seeded ``state`` (with cuts from earlier budgets) is reused;
     its bounds are reset since the feasible region changed.  Its best
-    plan, scaled onto the new budget when it costs more, is the first
+    grid, scaled onto the new budget when it costs more, is the first
     centre.
     """
     if not (0 < epsilon < 1):
@@ -214,8 +207,8 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
     else:
         state.budget = budget
     buses = state.candidate_buses
-    centre = _within_budget(state.best_plan, tech, budget)
-    state.reset_bounds()
+    centre = _within_budget(state.best, tech, budget)
+    state.reset_bounds()    # the best grid is now the zero grid
 
     zero = Plan()
     best_sols: dict[str, DispatchSolution] | None = None
@@ -226,9 +219,9 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         state.baseline_cost = cs0
         grads = timed("subgradient", compute_subgradients,
                       net, days, sols0, zero, tech, state.starts)
-        state.add_cut(Cut(zero.grid(buses), cs0, grads))
+        state.add_cut(Cut(state.best, cs0, grads))
         best_sols = sols0
-    state.record_sample(zero, state.baseline_cost)
+    state.record_sample(state.best, state.baseline_cost)
 
     trace: list[IterationRecord] = []
     converged = False
@@ -239,25 +232,26 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         if convergence_check(state, epsilon):
             converged = True
             break
-        query = _query_point(y, centre, step, buses)
-        sols = timed("dispatch", dispatch_all, net, days, query, tech,
+        # the query meets the ratio and budget rows, as y and the centre do
+        query = snapped(step * y + (1 - step) * centre)
+        plan = Plan(dict(zip(buses, query)))
+        sols = timed("dispatch", dispatch_all, net, days, plan, tech,
                      workers, state.starts)
-        cs = _weighted_cost(days, sols, query, tech)
+        cs = _weighted_cost(days, sols, plan, tech)
         if cs < state.best_cost:
             best_sols, centre = sols, query
         state.record_sample(query, cs)
         grads = timed("subgradient", compute_subgradients,
-                      net, days, sols, query, tech, state.starts)
-        cut = Cut(query.grid(buses), cs, grads)
+                      net, days, sols, plan, tech, state.starts)
+        cut = Cut(query, cs, grads)
         # the query mis-priced y when its cut does not raise the model
         # at y (the model at y, not lb: the master shades y towards
         # zero, off its vertex, so the model at y may lie above lb)
         at_y = _model_value(state, y)
-        mispriced = cut.predicted_cost(y.grid(buses)) \
-            <= at_y + 1e-9 * max(1.0, abs(at_y))
+        mispriced = cut.predicted_cost(y) <= at_y + 1e-9 * max(1.0, abs(at_y))
         state.add_cut(cut)
         trace.append(IterationRecord(nu, lb, cs, state.best_cost,
-                                     len(query.installed_buses()), step))
+                                     len(plan.installed_buses()), step))
         log.debug("sweep %d: lower bound %.6f, sampled %.6f, best %.6f, "
                   "gap %.6g, step %g", nu, lb, cs, state.best_cost,
                   state.best_cost - lb, step)
@@ -266,7 +260,7 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
             converged = True
             break
 
-    plan = state.best_plan
+    plan = Plan(dict(zip(buses, state.best)))
     if best_sols is None:
         best_sols = timed("dispatch", dispatch_all, net, days, plan, tech,
                           workers, state.starts)
@@ -298,6 +292,8 @@ def outer_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         chi = 1.0
     if budget_min is None:
         budget_min = default_budget_min(tech)
+    elif not budget_min >= 0:
+        raise ValueError(f"budget_min must be nonnegative, got {budget_min}")
 
     state = MasterState(candidate_buses=list(net.candidate_buses),
                         tech=tech, budget=budget_init)

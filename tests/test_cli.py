@@ -89,6 +89,12 @@ class TestPlanCommand:
         assert run(base_args("plan", m2_files, config=config)) == 1
         assert f"{config}:2: infinite value" in capsys.readouterr().err
 
+    def test_negative_budget_min(self, m2_files, capsys):
+        config = m2_files["out"].parent / "run.cfg"
+        config.write_text("chi = 100\nbudget_min = -1\n")
+        assert run(base_args("plan", m2_files, config=config)) == 1
+        assert "budget_min must be nonnegative" in capsys.readouterr().err
+
     def test_nan_chi(self, m2_files, capsys):
         assert run(base_args("plan", m2_files, chi="nan")) == 1
         err = capsys.readouterr().err
@@ -138,6 +144,13 @@ class TestEvaluateCommand:
         assert run(args) == 1
         assert f"{m2_files['plan']}:2: repeated plan row for bus 'b1'" \
             in capsys.readouterr().err
+
+    def test_negative_plan_row(self, m2_files, capsys):
+        m2_files["plan"].write_text("b1 -1 -1\n")
+        args = base_args("evaluate", m2_files) + \
+            ["--plan", str(m2_files["plan"])]
+        assert run(args) == 1
+        assert "bus b1: negative rating" in capsys.readouterr().err
 
     def test_infeasible_dispatch_exit_code(self, m2_files, capsys):
         # demand beyond total generating capacity

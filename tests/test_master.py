@@ -7,7 +7,7 @@ from storageplan import lp_core
 from storageplan.instances import simple_tech
 from storageplan.master import (MasterError, MasterState, convergence_check,
                                 solve_master)
-from storageplan.model import Plan
+from storageplan.model import Plan, snapped
 from storageplan.subgradient import Cut
 
 
@@ -15,6 +15,11 @@ def make_cut(point, cost, grad):
     """A cut at the ``[bus, (p, e)]`` ratings ``point`` with subgradient
     grid ``grad``."""
     return Cut(np.array(point, float), cost, np.array(grad, float))
+
+
+def as_plan(state, pe):
+    """The master's ratings grid ``pe`` keyed by candidate bus."""
+    return Plan(dict(zip(state.candidate_buses, pe)))
 
 
 def fresh_state(budget=None, tech=None):
@@ -27,7 +32,8 @@ class TestSingleCut:
         # one cut z >= 2100 - 19(p + e) intersects z >= p + e at p+e = 105
         state = fresh_state()
         state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
-        plan, z = solve_master(state)
+        pe, z = solve_master(state)
+        plan = as_plan(state, pe)
         assert z == pytest.approx(105.0, rel=1e-6)
         assert plan.power("b1") + plan.energy("b1") == pytest.approx(
             105.0, rel=1e-6)
@@ -35,7 +41,8 @@ class TestSingleCut:
     def test_budget_binds(self):
         state = fresh_state(budget=20.0)
         state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
-        plan, z = solve_master(state)
+        pe, z = solve_master(state)
+        plan = as_plan(state, pe)
         assert plan.investment_cost(state.tech) == pytest.approx(20.0)
         assert z == pytest.approx(2100.0 - 19.0 * 20.0)
 
@@ -50,7 +57,8 @@ class TestTwoCuts:
         state = fresh_state()
         state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
         state.add_cut(make_cut([(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
-        plan, z = solve_master(state)
+        pe, z = solve_master(state)
+        plan = as_plan(state, pe)
         assert z == pytest.approx(1720.0, rel=1e-6)
         assert plan.power("b1") + plan.energy("b1") == pytest.approx(
             20.0, rel=1e-4)
@@ -70,7 +78,8 @@ class TestRatioRows:
         state = fresh_state(budget=30.0, tech=tech)
         # pull only towards power: the ratio cap must hold it back
         state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-50.0, -1.0)]))
-        plan, _ = solve_master(state)
+        pe, _ = solve_master(state)
+        plan = as_plan(state, pe)
         p, e = plan.power("b1"), plan.energy("b1")
         assert p <= 1.5 * e + 1e-6
         assert p >= 0.5 * e - 1e-6
@@ -82,7 +91,8 @@ class TestDeterminism:
             state = fresh_state()
             state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
             state.add_cut(make_cut([(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
-            return solve_master(state)
+            pe, z = solve_master(state)
+            return as_plan(state, pe), z
         (plan_a, za), (plan_b, zb) = run(), run()
         assert za == zb
         assert plan_a.ratings == plan_b.ratings
@@ -95,7 +105,8 @@ class TestDeterminism:
                             baseline_cost=2100.0)
         state.add_cut(make_cut([(0.0, 0.0), (0.0, 0.0)], 2100.0,
                                [(-19.0, -19.0), (-19.0, -19.0)]))
-        plan, z = solve_master(state)
+        pe, z = solve_master(state)
+        plan = as_plan(state, pe)
         total = sum(p + e for p, e in plan.ratings.values())
         assert total == pytest.approx(105.0, rel=1e-4)
 
@@ -127,13 +138,14 @@ class TestGolden:
         rows."""
         state = three_bus_state()
         tech = state.tech
-        plan, z = solve_master(state)
+        pe, z = solve_master(state)
+        plan = as_plan(state, pe)
         assert z == 1758.8779069767443
         assert plan.ratings == {
             "b1": (5.982557541279081, 23.93023016511635),
             "b3": (1.5174417087209282, 6.069766834883708),
         }
-        pe = plan.grid(state.candidate_buses)
+        assert np.array_equal(snapped(pe), pe)
         model = max(cut.predicted_cost(pe) for cut in state.cuts)
         assert z <= model <= z + 1e-7 * abs(z)
         plan.check_ratio_bounds(tech)
@@ -146,7 +158,9 @@ class TestSolverFailure:
         (seen on nearly parallel cuts of the siting benchmark workload);
         lp_core.solve then solves it by interior point, to the same
         bound."""
-        plan_ref, z_ref = solve_master(three_bus_state())
+        state = three_bus_state()
+        pe_ref, z_ref = solve_master(state)
+        plan_ref = as_plan(state, pe_ref)
         real, calls = lp_core.linprog, []
 
         def simplex_fails_once(lp, solver=None, **kwargs):
@@ -157,7 +171,8 @@ class TestSolverFailure:
 
         monkeypatch.setattr(lp_core, "linprog", simplex_fails_once)
         state = three_bus_state()
-        plan, z = solve_master(state)
+        pe, z = solve_master(state)
+        plan = as_plan(state, pe)
         assert calls == [None, "ipm"]    # master, retry
         assert z == pytest.approx(z_ref, rel=1e-12)
         for b, ratings in plan_ref.ratings.items():
@@ -183,15 +198,15 @@ class TestOneSolvePerCall:
 class TestState:
     def test_record_sample_keeps_best(self):
         state = fresh_state()
-        state.record_sample(Plan({"b1": (1.0, 1.0)}), 2000.0)
-        state.record_sample(Plan({"b1": (2.0, 2.0)}), 2050.0)
+        state.record_sample(np.array([(1.0, 1.0)]), 2000.0)
+        state.record_sample(np.array([(2.0, 2.0)]), 2050.0)
         assert state.best_cost == 2000.0
-        assert state.best_plan.power("b1") == 1.0
+        assert as_plan(state, state.best).power("b1") == 1.0
 
     def test_reset_keeps_cuts(self):
         state = fresh_state()
         state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
-        state.record_sample(Plan(), 2100.0)
+        state.record_sample(np.zeros((1, 2)), 2100.0)
         state.lower_bound = 50.0
         state.reset_bounds()
         assert state.cuts

@@ -1,13 +1,15 @@
 import math
 from decimal import Decimal, getcontext
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from storageplan.model import (Generator, Line, Network, Plan, StorageTech,
-                               TypicalDay, capital_recovery_factor,
-                               libes_marginal_cost, prorate_capital_cost,
+from storageplan.model import (INSTALLED_EPS, Generator, Line, Network, Plan,
+                               StorageTech, TypicalDay,
+                               capital_recovery_factor, libes_marginal_cost,
+                               prorate_capital_cost, snapped,
                                split_round_trip_efficiency, validate_network)
 
 
@@ -129,6 +131,15 @@ class TestPlan:
     def test_zero_ratings_dropped(self):
         assert Plan({"b1": (0.0, 0.0)}).ratings == {}
 
+    def test_negative_rating_kept_and_named(self):
+        # only (0, 0) is dropped, so the ratio check can name the bus
+        plan = Plan({"b1": (-1.0, -1.0)})
+        assert plan.ratings == {"b1": (-1.0, -1.0)}
+        tech = StorageTech(c_p=1, c_e=1, rho_min=0.5, rho_max=2.0,
+                           eta_ch=1, eta_dis=1)
+        with pytest.raises(ValueError, match="bus b1: negative rating"):
+            plan.check_ratio_bounds(tech)
+
     def test_investment_cost(self):
         tech = StorageTech(c_p=3.0, c_e=2.0, rho_min=0.1, rho_max=4.0,
                            eta_ch=0.9, eta_dis=0.9)
@@ -145,7 +156,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("p, e", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf),
-        (1.0, math.inf)])
+        (1.0, math.inf), (math.nan, math.nan)])
     def test_non_finite_rating_rejected(self, p, e):
         tech = StorageTech(c_p=1, c_e=1, rho_min=0.5, rho_max=2.0,
                            eta_ch=1, eta_dis=1)
@@ -162,6 +173,27 @@ class TestPlan:
         tech = StorageTech(c_p=1, c_e=1, rho_min=0.5, rho_max=2.0,
                            eta_ch=1, eta_dis=1)
         Plan({"b1": (rho * e, e)}).check_ratio_bounds(tech)
+
+
+class TestSnapped:
+    def test_clips_negatives(self):
+        pe = snapped([(2.0, -1e-9), (-1.0, -1.0), (-1.0, 3.0)])
+        assert pe.tolist() == [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_threshold_is_on_power(self):
+        eps = INSTALLED_EPS
+        pe = snapped([(eps, 1.0), (2 * eps, eps / 2), (1.0, 0.0)])
+        assert pe.tolist() == [[0.0, 0.0], [2 * eps, eps / 2], [1.0, 0.0]]
+
+    def test_energy_without_power_is_zeroed(self):
+        assert snapped([(0.0, 5.0), (INSTALLED_EPS / 2, 5e-4)]).tolist() \
+            == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_shape_and_fixed_point(self):
+        pe = snapped([(3.0, 4.0), (0.0, 0.0)])
+        assert pe.shape == (2, 2)
+        assert snapped([]).shape == (0, 2)
+        assert np.array_equal(snapped(pe), pe)
 
 
 def _net(**kw):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from storageplan import lp_core, oracle, planner
-from storageplan.model import Plan
+from storageplan.model import Plan, snapped
 from storageplan.planner import (default_budget_min, dispatch_all,
                                  evaluate_plan, format_report, format_trace,
                                  inner_loop, outer_loop)
@@ -49,11 +49,27 @@ class TestEvaluatePlan:
         assert res.system_cost == res.baseline_cost == pytest.approx(2100.0)
         assert res.achieved_return is None
 
+    def test_baseline_when_nothing_is_installed(self, m2):
+        """Below ``INSTALLED_EPS`` power the plan dispatches as the zero
+        plan does, so its baseline is the zero plan's cost, without the
+        plan's own capital."""
+        plan = Plan({"b1": (5e-5, 5e-4)})
+        res = evaluate_plan(m2.net, m2.days, m2.tech, plan)
+        zero = evaluate_plan(m2.net, m2.days, m2.tech, Plan())
+        assert res.baseline_cost == zero.system_cost == 2100.0
+        assert res.system_cost == 2100.0 + plan.investment_cost(m2.tech)
+
+    def test_negative_rating_names_bus(self, m2):
+        # a negative rating used to be dropped, pricing the zero plan
+        with pytest.raises(ValueError, match="bus b1: negative rating"):
+            evaluate_plan(m2.net, m2.days, m2.tech, Plan({"b1": (-1.0, -1.0)}))
+
     def test_ratio_violation_names_bus(self, m2):
         with pytest.raises(ValueError, match="bus b1"):
             evaluate_plan(m2.net, m2.days, m2.tech, Plan({"b1": (9.0, 1.0)}))
 
-    @pytest.mark.parametrize("p, e", [(math.nan, 1.0), (math.inf, math.inf)])
+    @pytest.mark.parametrize("p, e", [(math.nan, 1.0), (math.inf, math.inf),
+                                      (math.nan, math.nan)])
     def test_non_finite_rating_names_bus(self, m2, p, e):
         # a NaN rating used to price the plan at a NaN system cost, an
         # infinite one to end in a solver failure
@@ -219,11 +235,11 @@ class TestInnerLoop:
         assert steps[0] == 0.5
         tech, cuts = inst.tech, res.cuts
         for k, rec in enumerate(res.iterations):
-            y, query = masters[k][0], queries[k + 1]
+            pe, query = masters[k][0], queries[k + 1]
+            y = Plan(dict(zip(inst.net.candidate_buses, pe)))
             if rec.step == 1.0:
                 assert query == y
             # cut k + 1 was found at this sweep's query
-            pe = y.grid(inst.net.candidate_buses)
             at_y = max([y.investment_cost(tech)]
                        + [c.predicted_cost(pe) for c in cuts[:k + 1]])
             raised = cuts[k + 1].predicted_cost(pe) > \
@@ -231,6 +247,9 @@ class TestInnerLoop:
             if k + 1 < len(steps):
                 assert steps[k + 1] == (
                     1.0 if rec.step == 0.5 and not raised else 0.5)
+        # every grid the loop dispatches is installed as given
+        for cut in cuts:
+            assert np.array_equal(snapped(cut.point), cut.point)
 
     def test_cost_dominates_oracle_within_tolerance(self, rand_instance):
         inst = rand_instance(1)
@@ -331,6 +350,8 @@ class TestOuterLoop:
         for budget, plan in dispatched:
             plan.check_ratio_bounds(inst.tech)
             assert plan.investment_cost(inst.tech) <= budget * (1 + 1e-9)
+        for cut in res.cuts:
+            assert np.array_equal(snapped(cut.point), cut.point)
         # round 1's plan breaks round 2's budget, so round 2 starts from
         # it scaled down; and the budget binds, up to the master's
         # shading of its plan towards zero
@@ -380,6 +401,20 @@ class TestOuterLoop:
                             lambda lp, *args, **kwargs: solves.append(lp))
         with pytest.raises(ValueError, match="chi must be a number, got nan"):
             outer_loop(m2.net, m2.days, m2.tech, chi=math.nan)
+        assert solves == []
+
+    @pytest.mark.parametrize("budget_min", [-1.0, math.nan])
+    def test_bad_budget_min_rejected_before_any_solve(self, m2_outer,
+                                                      monkeypatch,
+                                                      budget_min):
+        # a negative or NaN floor never ends the loop with a verdict
+        solves = []
+        monkeypatch.setattr(lp_core, "solve",
+                            lambda lp, *args, **kwargs: solves.append(lp))
+        with pytest.raises(ValueError,
+                           match="budget_min must be nonnegative"):
+            outer_loop(m2_outer.net, m2_outer.days, m2_outer.tech, chi=3.0,
+                       budget_min=budget_min)
         assert solves == []
 
     def test_chi_below_one_clamped(self, m2):

@@ -1,6 +1,7 @@
 """Property tests on small generated networks: the decomposition agrees
-with the monolithic oracle, threads do not change its result, and a
-fixed plan's held-model dispatch costs what cold solves cost."""
+with the monolithic oracle, threads do not change its result, a fixed
+plan's held-model dispatch costs what cold solves cost, and dispatch
+installs a ratings grid by the one ``snapped`` rule."""
 
 from dataclasses import replace
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from storageplan import instances, lp_core, oracle
+from storageplan import dispatch, instances, lp_core, oracle
 from storageplan.dispatch import build_ed
-from storageplan.model import Plan
+from storageplan.model import INSTALLED_EPS, Network, Plan, snapped
 from storageplan.planner import evaluate_plan, inner_loop
 
 EPSILON = 0.05
@@ -82,6 +83,28 @@ def test_evaluate_matches_cold_dispatch(inst, data):
     assert res.system_cost == pytest.approx(total(costs, plan), rel=1e-9)
     assert res.baseline_cost == pytest.approx(
         total(_cold_day_costs(inst, Plan()), Plan()), rel=1e-9)
+
+
+_TECH = instances.simple_tech(rho_min=0.25, rho_max=2.0)
+_CANDS = ("b1", "b2", "b3", "b4")
+# energies around the installed threshold as well as ordinary ones, so
+# rows with p <= INSTALLED_EPS < e are drawn
+_energy = st.one_of(st.just(0.0), st.floats(0.0, 8 * INSTALLED_EPS),
+                    st.floats(0.0, 100.0))
+_row = st.builds(lambda e, rho: (rho * e, e), _energy,
+                 st.floats(_TECH.rho_min, _TECH.rho_max))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(_row, min_size=len(_CANDS), max_size=len(_CANDS)))
+def test_dispatch_installs_the_snapped_grid(rows):
+    """For a grid that meets the ratio rows, the ratings dispatch fixes
+    are the grid snapped: the same rule the planner uses."""
+    net = Network(buses=_CANDS, lines=(), generators=(),
+                  candidate_buses=_CANDS)
+    pe = np.array(rows)
+    got = dispatch._ratings(net, Plan(dict(zip(_CANDS, pe))), _TECH)
+    assert np.array_equal(got, snapped(pe))
 
 
 def test_three_bus_instances_build():
