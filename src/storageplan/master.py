@@ -12,7 +12,8 @@ vertex shaded by a relative 1e-7 towards zero, then
 :func:`~storageplan.model.snapped`.  Shading keeps the ratio and budget
 rows and puts the grid on the low-storage side of any kink of the cost
 surface at the vertex, where prices (and so storage revenue) are
-ambiguous.
+ambiguous.  :func:`level_point` finds the level-bundle query over the same
+rows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import nnls
 
 from . import lp_core
 from .lp_core import GE, LE, ArrayLP, LPBuilder
@@ -116,6 +118,54 @@ def solve_master(state: MasterState) -> tuple[np.ndarray, float]:
     # shading towards zero keeps the ratio rows, lowers the capital cost
     # and moves the grid off a kink at the vertex to its low-storage side
     return snapped(sol.x[lp.cols["pe"]] * (1 - 1e-7)), sol.objective
+
+
+# a level query's cut-model value is at most lb + _LEVEL * (best - lb)
+_LEVEL = 0.3
+
+
+def level_point(state: MasterState, centre: np.ndarray,
+                lb: float) -> np.ndarray | None:
+    """The level-bundle query (Lemarechal, Nemirovskii & Nesterov 1995):
+    the ratings grid nearest ``centre`` whose cut-model value is at most
+    ``lb + _LEVEL * (best cost - lb)``, given the master's lower bound
+    ``lb``, within the ratio and budget rows; ``None`` when none is
+    found.
+
+    :func:`_build_master`'s rows with ``z`` at that level, and the
+    ratings' lower bounds, read ``G pe >= h``.  The nearest grid is a
+    least-distance program, solved as Lawson & Hanson (1974) do: by
+    nonnegative least squares on ``[G.T; f] u = (0, .., 0, 1)`` with
+    ``f = h - G centre``, each row scaled to a largest coefficient of 1.
+    (HiGHS's QP solver, given the same rows, stopped short on most such
+    QPs of larger networks.)  The grid's power ratings are clipped into
+    the ratio rows, which it meets only to rounding, then it is shaded
+    and snapped as :func:`solve_master`'s is."""
+    lp = _build_master(state)
+    z, pe = lp.cols["z"], lp.cols["pe"].ravel()
+    level = lb + _LEVEL * (state.best_cost - lb)
+    A = lp.A.toarray()
+    # the master has no equality rows: -sense turns each row into ">="
+    G = np.vstack((A[:, pe] * -lp.sense[:, None], np.eye(pe.size)))
+    h = np.concatenate(((lp.rhs - level * A[:, z]) * -lp.sense, lp.lb[pe]))
+    c = np.ravel(centre)
+    scale = np.abs(G).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    G, f = G / scale[:, None], (h - G @ c) / scale
+    E = np.vstack((G.T, f))
+    target = np.zeros(pe.size + 1)
+    target[-1] = 1.0
+    try:
+        u, _ = nnls(E, target)
+    except RuntimeError:    # its iteration limit
+        return None
+    r = E @ u - target
+    if not r[-1] < -1e-12:  # r = 0: no grid meets the rows
+        return None
+    tech = state.tech
+    p, e = (c - r[:-1] / r[-1]).reshape(-1, 2).T
+    p = np.clip(p, tech.rho_min * e, tech.rho_max * e)
+    return snapped(np.column_stack((p, e)) * (1 - 1e-7))
 
 
 def convergence_check(state: MasterState, epsilon: float) -> bool:

@@ -7,7 +7,10 @@ tolerance.  It dispatches at in-out query points (Ben-Ameur & Neto
 far, which damps the oscillation of plain cutting planes.  The outer
 loop enforces the minimum rate of return on storage investment by
 shrinking the investment budget to (revenue / required return) and
-re-running the inner loop with all accumulated cuts retained.
+re-running the inner loop with all accumulated cuts retained.  Those
+later rounds dispatch level queries (Lemarechal, Nemirovskii & Nesterov
+1995; see :func:`~storageplan.master.level_point`) instead, where in-out
+steps stalled for dozens of sweeps.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from .dispatch import (DispatchSolution, is_held, solve_ed,
                        storage_revenue)
-from .master import MasterState, convergence_check, solve_master
+from .master import (MasterState, convergence_check, level_point,
+                     solve_master)
 from .model import Network, Plan, StorageTech, TypicalDay, snapped
 from .subgradient import Cut, compute_subgradients
 
@@ -41,7 +45,8 @@ class IterationRecord:
     sampled_cost: float
     best_cost: float
     plan_nonzeros: int
-    step: float     # weight of the master's plan in the dispatched plan
+    step: float     # weight of the master's plan in the dispatched
+                    # plan; NaN for a level query
 
 
 @dataclass
@@ -185,7 +190,8 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
     A pre-seeded ``state`` (with cuts from earlier budgets) is reused;
     its bounds are reset since the feasible region changed.  Its best
     grid, scaled onto the new budget when it costs more, is the first
-    centre.
+    centre.  With cuts in it, each sweep dispatches the level query at
+    the centre instead, or the in-out point when the level solve fails.
     """
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
@@ -201,6 +207,9 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         timings[key] += time.perf_counter() - t0
         return out
 
+    # level queries want a cut model shaped by earlier rounds: from a
+    # bare one they stopped m2 at an oversized plan that earns nothing
+    level = state is not None and bool(state.cuts)
     if state is None:
         state = MasterState(candidate_buses=list(net.candidate_buses),
                             tech=tech, budget=budget)
@@ -232,8 +241,14 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         if convergence_check(state, epsilon):
             converged = True
             break
-        # the query meets the ratio and budget rows, as y and the centre do
-        query = snapped(step * y + (1 - step) * centre)
+        query = timed("master", level_point, state, centre, lb) \
+            if level else None
+        if query is None:
+            # the in-out query meets the ratio and budget rows, as y and
+            # the centre do
+            query = snapped(step * y + (1 - step) * centre)
+        else:
+            step = math.nan
         plan = Plan(dict(zip(buses, query)))
         sols = timed("dispatch", dispatch_all, net, days, plan, tech,
                      workers, state.starts)
@@ -255,6 +270,7 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         log.debug("sweep %d: lower bound %.6f, sampled %.6f, best %.6f, "
                   "gap %.6g, step %g", nu, lb, cs, state.best_cost,
                   state.best_cost - lb, step)
+        # only an in-out query retries: a level query's step is NaN
         step = 1.0 if step < 1.0 and mispriced else _IN_OUT_STEP
         if convergence_check(state, epsilon):
             converged = True

@@ -150,9 +150,11 @@ def compute_subgradients(net: Network, days: list[TypicalDay],
 
 def revenue_identity(plan: Plan, subgrads: dict[str, tuple[float, float]],
                      tech: StorageTech) -> float:
-    """Storage revenue reconstructed from the installed-bus subgradients."""
+    """Storage revenue reconstructed from the installed-bus subgradients;
+    a bus rated below the installed threshold dispatches nothing."""
     total = 0.0
-    for b, (p, e) in plan.ratings.items():
+    for b in plan.installed_buses():
+        p, e = plan.ratings[b]
         gp, ge = subgrads[b]
         total -= (gp - tech.c_p) * p + (ge - tech.c_e) * e
     return total

@@ -6,7 +6,7 @@ import pytest
 from storageplan import lp_core
 from storageplan.instances import simple_tech
 from storageplan.master import (MasterError, MasterState, convergence_check,
-                                solve_master)
+                                level_point, solve_master)
 from storageplan.model import Plan, snapped
 from storageplan.subgradient import Cut
 
@@ -70,6 +70,43 @@ class TestTwoCuts:
         state.add_cut(make_cut([(20.0, 20.0)], 1740.0, [(1.0, 1.0)]))
         _, z2 = solve_master(state)
         assert z2 >= z1 - 1e-6
+
+
+class TestLevelPoint:
+    """Budget 20 and one cut z >= 2100 - 19(p + e): the master's bound is
+    1720, and with the zero grid sampled at 2100 the level is
+    1720 + 0.3 * 380 = 1834, reached where p + e >= 14."""
+
+    def level(self, centre):
+        state = fresh_state(budget=20.0)
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
+        state.record_sample(np.zeros((1, 2)), 2100.0)
+        _, lb = solve_master(state)
+        assert lb == pytest.approx(1720.0)
+        return state, level_point(state, np.array([centre], float), lb)
+
+    def test_nearest_point_of_the_level_set(self):
+        state, pe = self.level((0.0, 0.0))
+        assert pe == pytest.approx(np.array([[7.0, 7.0]]), rel=1e-6)
+        assert np.array_equal(snapped(pe), pe)
+
+    def test_ratio_row_binds(self):
+        # projecting (10, 0) onto p + e >= 14 gives ratio 6; the nearest
+        # point within rho_max = 4 is (11.2, 2.8)
+        state, pe = self.level((10.0, 0.0))
+        assert pe == pytest.approx(np.array([[11.2, 2.8]]), rel=1e-6)
+        as_plan(state, pe).check_ratio_bounds(state.tech)
+        assert as_plan(state, pe).investment_cost(state.tech) < 20.0
+
+    def test_empty_level_set(self):
+        # a best cost below the lower bound (a cut over-estimated the
+        # cost) puts the level below the model everywhere
+        state = fresh_state(budget=20.0)
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(0.0, 0.0)]))
+        state.record_sample(np.zeros((1, 2)), 2000.0)
+        _, lb = solve_master(state)
+        assert lb == pytest.approx(2100.0)
+        assert level_point(state, np.zeros((1, 2)), lb) is None
 
 
 class TestRatioRows:

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from storageplan import lp_core, oracle, planner
+from storageplan import lp_core, master, oracle, planner
 from storageplan.model import Plan, snapped
 from storageplan.planner import (default_budget_min, dispatch_all,
                                  evaluate_plan, format_report, format_trace,
@@ -359,6 +360,100 @@ class TestOuterLoop:
         assert max(plan.investment_cost(inst.tech)
                    for budget, plan in dispatched
                    if budget == budgets[1]) >= budgets[1] * (1 - 1e-5)
+
+    @staticmethod
+    def record_rounds(monkeypatch):
+        """Record each round's result and the plans dispatched in it, as
+        (round, plan) pairs."""
+        results, dispatched = [], []
+        real_inner, real_dispatch = planner.inner_loop, planner.dispatch_all
+
+        def recording_inner(*args, **kwargs):
+            results.append(None)
+            results[-1] = real_inner(*args, **kwargs)
+            return results[-1]
+
+        def recording_dispatch(net, days, plan, *args, **kwargs):
+            dispatched.append((len(results), plan))
+            return real_dispatch(net, days, plan, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "inner_loop", recording_inner)
+        monkeypatch.setattr(planner, "dispatch_all", recording_dispatch)
+        return results, dispatched
+
+    def test_later_rounds_take_level_steps(self, rand_instance,
+                                           monkeypatch):
+        """Deterministic companion of the level-step speedup, on the
+        siting network (every bus a candidate): round 1 takes in-out
+        steps, round 2 level steps, where in-out steps took 27 sweeps.
+        Every level query meets the ratio and budget rows."""
+        inst = rand_instance(4, n_buses=12, n_days=3)
+        net = dataclasses.replace(inst.net, candidate_buses=inst.net.buses)
+        results, dispatched = self.record_rounds(monkeypatch)
+        res = outer_loop(net, inst.days, inst.tech, chi=10.0,
+                         budget_init=inst.budget, epsilon=0.05)
+        assert [r.round for r in res.outer_trace] == [1, 2]
+        first, second = (r.iterations for r in results)
+        assert len(first) == 7
+        assert all(r.step in (0.5, 1.0) for r in first)
+        assert 1 <= len(second) <= 6
+        assert all(math.isnan(r.step) for r in second)
+        assert res.converged and res.achieved_return >= 10.0
+        budget = res.outer_trace[1].budget
+        queries = [plan for rnd, plan in dispatched if rnd == 2]
+        assert len(queries) >= len(second)
+        for plan in queries:
+            plan.check_ratio_bounds(inst.tech)
+            assert plan.investment_cost(inst.tech) <= budget * (1 + 1e-9)
+
+    def test_inner_loop_without_cuts_takes_no_level_step(self, rand_instance,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(planner, "level_point",
+                            lambda *args: calls.append(args))
+        inst = rand_instance(1, n_buses=10, n_days=3)
+        res = inner_loop(inst.net, inst.days, inst.tech, inst.budget,
+                         epsilon=0.01)
+        assert len(res.iterations) > 1
+        assert calls == []
+
+    def test_failed_level_solve_falls_back_to_in_out(self, rand_instance,
+                                                     monkeypatch):
+        """The first level solve fails: that sweep dispatches the in-out
+        point between the master's grid and the centre, and later sweeps
+        take level steps again."""
+        inst = rand_instance(2, n_buses=8, n_days=2)
+        results, dispatched = self.record_rounds(monkeypatch)
+        real_master, real_level = planner.solve_master, planner.level_point
+        real_nnls = master.nnls
+        masters, levels = [], []
+
+        def recording_master(state):
+            masters.append(real_master(state))
+            return masters[-1]
+
+        def recording_level(state, centre, lb):
+            levels.append((masters[-1][0], centre))
+            return real_level(state, centre, lb)
+
+        def failing_first(*args, **kwargs):
+            if len(levels) == 1:
+                raise RuntimeError("Maximum number of iterations reached.")
+            return real_nnls(*args, **kwargs)
+
+        monkeypatch.setattr(planner, "solve_master", recording_master)
+        monkeypatch.setattr(planner, "level_point", recording_level)
+        monkeypatch.setattr(master, "nnls", failing_first)
+        res = outer_loop(inst.net, inst.days, inst.tech, chi=5.0,
+                         budget_init=inst.budget)
+        assert len(res.outer_trace) == 2 and res.converged
+        steps = [r.step for r in results[1].iterations]
+        assert steps[0] == 0.5 and len(steps) > 1
+        assert all(math.isnan(step) for step in steps[1:])
+        y, centre = levels[0]
+        query = next(plan for rnd, plan in dispatched if rnd == 2)
+        assert query == Plan(dict(zip(inst.net.candidate_buses,
+                                      snapped(0.5 * y + 0.5 * centre))))
 
     def test_logs_rounds_and_sweeps(self, rand_instance, caplog):
         inst = rand_instance(2, n_buses=8, n_days=2)

@@ -122,6 +122,15 @@ class TestRevenueIdentity:
         assert revenue_identity(plan, grads, m2.tech) == pytest.approx(
             direct, rel=1e-9)
 
+    def test_uninstalled_bus_earns_nothing(self, m2):
+        # energy rated, power at or below the installed threshold: no
+        # installed-bus subgradient, no revenue (it used to raise KeyError)
+        plan = Plan({"b1": (5e-5, 5e-4)})
+        grads = subgrad_installed(dispatch_map(m2, plan), {"d1": 1.0},
+                                  m2.tech, plan)
+        assert grads == {}
+        assert revenue_identity(plan, grads, m2.tech) == 0.0
+
     @pytest.mark.parametrize("seed", [4, 5])
     def test_random_instances(self, rand_instance, seed):
         inst = rand_instance(seed)
