@@ -16,6 +16,10 @@ used throughout the package:
 * reduced costs follow the same convention for variable bounds
   (nonnegative at a lower bound, nonpositive at an upper bound).
 
+Each HiGHS run yields one :class:`LPSolution` (status, message,
+iteration count and, when optimal, the solution); :func:`solve` hands
+its caller the last run's as it is.
+
 An LP that is solved again and again (a day's dispatch, a marginal-unit
 LP) stays loaded in HiGHS between solves with its rows fixed: a
 re-solve patches only the costs and column bounds that changed and runs
@@ -166,17 +170,6 @@ class LPBuilder:
                        self.rhs, self.cols, self.rows)
 
 
-@dataclass
-class LPSolution:
-    """Primal values, row duals and reduced costs in model order."""
-
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    objective: float = math.nan
-    x: np.ndarray = field(default_factory=lambda: np.empty(0))
-    duals: np.ndarray = field(default_factory=lambda: np.empty(0))
-    reduced_costs: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
 _MS = _highs.HighsModelStatus
 # an LP's outcomes; any other HiGHS model status (a model rejected at
 # load, a simplex stopped short) is a failure
@@ -186,31 +179,30 @@ FAILED = "failed"
 
 
 @dataclass
-class HighsResult:
+class LPSolution:
     """One HiGHS run: ``status`` is a name of :data:`_STATUS` or
-    :data:`FAILED`, ``message`` HiGHS's name for its model status.  The
-    solution fields, in model order, are set only when optimal;
-    ``basis`` is the final ``HighsBasis``.  ``model`` is the model HiGHS
-    ran, for a later re-solve.
+    :data:`FAILED`, ``message`` HiGHS's name for its model status and
+    ``nit`` its simplex iteration count.  The primal values, row duals
+    and reduced costs, in model order, are set only when optimal.
+    ``model`` is the model HiGHS ran, for a later re-solve or a start.
     """
 
     status: str
     message: str
     nit: int
-    fun: float = math.nan
-    x: np.ndarray | None = None
-    duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
-    basis: object = None
+    objective: float = math.nan
+    x: np.ndarray = field(default_factory=lambda: np.empty(0))
+    duals: np.ndarray = field(default_factory=lambda: np.empty(0))
+    reduced_costs: np.ndarray = field(default_factory=lambda: np.empty(0))
     model: _Highs | None = None
 
 
 def linprog(lp: ArrayLP, *, basis=None, model: _Highs | None = None,
-            solver: str | None = None) -> HighsResult:
-    """Run HiGHS on ``lp`` as written: ``A`` row-wise in model order, a
-    ``<=`` row as the row bounds ``(-inf, rhs)``, a ``>=`` row as
-    ``(rhs, inf)`` and an ``=`` row as ``(rhs, rhs)``, every column
-    continuous.  With ``basis`` (the ``basis`` of an optimal result for
+            solver: str | None = None) -> LPSolution:
+    """Run HiGHS once on ``lp`` as written: ``A`` row-wise in model
+    order, a ``<=`` row as the row bounds ``(-inf, rhs)``, a ``>=`` row
+    as ``(rhs, inf)`` and an ``=`` row as ``(rhs, rhs)``, every column
+    continuous.  With ``basis`` (a ``HighsBasis`` of an optimal model of
     an LP of the same shape) the dual simplex starts from it and skips
     presolve; a basis HiGHS rejects leaves the solve cold.
 
@@ -238,8 +230,8 @@ def linprog(lp: ArrayLP, *, basis=None, model: _Highs | None = None,
                 np.where(lp.sense == SENSE[GE], inf, lp.rhs),
                 A.indptr, A.indices, A.data, np.zeros(lp.n_vars, np.int32)
         ) == _highs.HighsStatus.kError:
-            return HighsResult(FAILED,
-                               highs.modelStatusToString(_MS.kModelError), 0)
+            return LPSolution(
+                FAILED, highs.modelStatusToString(_MS.kModelError), 0)
         if basis is not None:
             highs.setBasis(basis)
     highs.run()
@@ -254,25 +246,25 @@ def linprog(lp: ArrayLP, *, basis=None, model: _Highs | None = None,
     status = _STATUS.get(model_status, FAILED)
     message = highs.modelStatusToString(model_status)
     if status != "optimal":
-        return HighsResult(status, message, info.simplex_iteration_count,
-                           model=highs)
+        return LPSolution(status, message, info.simplex_iteration_count,
+                          model=highs)
 
     sol = highs.getSolution()
     # a column dual is reported only at a lower or upper bound: not for
     # basic columns, nor for nonbasic free columns (status kZero)
     basis_status, basic = highs.getBasicVariables()
     if basis_status != _highs.HighsStatus.kOk:
-        return HighsResult(FAILED, f"{message}, but no basis",
-                           info.simplex_iteration_count, model=highs)
+        return LPSolution(FAILED, f"{message}, but no basis",
+                          info.simplex_iteration_count, model=highs)
     at_bound = np.isfinite(lp.lb) | np.isfinite(lp.ub)
     at_bound[basic[basic >= 0]] = False
-    return HighsResult(
+    return LPSolution(
         status, message, info.simplex_iteration_count,
-        fun=info.objective_function_value,
+        objective=float(info.objective_function_value),
         x=np.array(sol.col_value),
         duals=np.array(sol.row_dual),
         reduced_costs=np.where(at_bound, np.array(sol.col_dual), 0.0),
-        basis=highs.getBasis(), model=highs)
+        model=highs)
 
 
 @dataclass(frozen=True)
@@ -303,7 +295,8 @@ def held(starts: dict, name: str) -> ArrayLP | None:
 
 
 def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
-    """Solve to optimality, returning primal values, row duals and reduced costs.
+    """Solve to optimality: the :class:`LPSolution` of the HiGHS run
+    that ends the ladder below.
 
     ``starts`` is a store of loaded models keyed by ``lp.name``; it keeps
     the model of every optimal solve.  A held model keeps its rows: when
@@ -348,17 +341,15 @@ def solve(lp: ArrayLP, starts: dict | None = None) -> LPSolution:
         # tolerances with an unknown status (seen on a master LP with
         # nearly parallel cuts); its interior-point solver reaches them
         res = linprog(lp, solver="ipm")
-    if res.status != "optimal" and starts is not None:
-        starts.pop(lp.name, None)
+    if starts is not None:
+        if res.status == "optimal":
+            starts[lp.name] = _Held(lp, res.model, res.model.getBasis()
+                                    if hold is None else hold.basis)
+        else:
+            starts.pop(lp.name, None)
     if res.status == FAILED:
         raise LPError(f"solver failure on {lp.name}: {res.message}")
-    if res.status != "optimal":
-        return LPSolution(status=res.status)
-    if starts is not None:
-        starts[lp.name] = _Held(lp, res.model,
-                                res.basis if hold is None else hold.basis)
-    return LPSolution("optimal", float(res.fun), res.x, res.duals,
-                      res.reduced_costs)
+    return res
 
 
 def dual_objective(sol: LPSolution, lp: ArrayLP) -> float:

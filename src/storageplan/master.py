@@ -2,18 +2,18 @@
 
 Minimizes the piecewise-linear under-estimate of system cost subject to
 power/energy-ratio bounds and the investment budget.  The investment
-variables are a ``[candidate, (p, e)]`` rating grid ``pe``, and each cut
-is the row ``z >= sampled_cost + sum(g * (pe - point))`` over it (see
-:class:`~storageplan.subgradient.Cut`).  Because every
-dispatch cost is nonnegative, ``z >= investment cost`` is a globally
-valid epigraph row; it keeps the first master solve bounded when no
-budget is set.  The master returns a ratings grid: the cut model's
-vertex shaded by a relative 1e-7 towards zero, then
-:func:`~storageplan.model.snapped`.  Shading keeps the ratio and budget
-rows and puts the grid on the low-storage side of any kink of the cost
-surface at the vertex, where prices (and so storage revenue) are
-ambiguous.  :func:`level_point` finds the level-bundle query over the same
-rows.
+variables are a ``[candidate, (p, e)]`` rating grid ``pe`` with those
+rows (:func:`add_ratings`, the monolithic LP's too), and each cut is the
+row ``z >= sampled_cost + sum(g * (pe - point))`` over it (see
+:class:`~storageplan.subgradient.Cut`).  Because every dispatch cost is
+nonnegative, ``z >= investment cost`` is a globally valid epigraph
+row; it keeps the first master solve bounded when no budget is set.
+The master returns a ratings grid: the cut model's vertex shaded by a
+relative 1e-7 towards zero, then :func:`~storageplan.model.snapped`.
+Shading keeps the ratio and budget rows and puts the grid on the
+low-storage side of any kink of the cost surface at the vertex, where
+prices (and so storage revenue) are ambiguous.  :func:`level_point`
+finds the level-bundle query over the same rows.
 """
 
 from __future__ import annotations
@@ -74,33 +74,41 @@ def _cut_rhs(cut: Cut) -> float:
     return rhs
 
 
-def _build_master(state: MasterState) -> ArrayLP:
-    """The cut model: a free ``z`` column, then a ``[p, e]`` rating pair
-    per candidate bus."""
-    tech = state.tech
-    n = len(state.candidate_buses)
-    lp = LPBuilder("master")
-    z = lp.cols["z"] = lp.add_cols(())
-    lp.c[z] = 1.0
-    lp.lb[z] = -math.inf
-    pe = lp.cols["pe"] = lp.add_cols((n, 2))
+def add_ratings(lp: LPBuilder, tech: StorageTech, n: int,
+                budget: float | None) -> np.ndarray:
+    """Append the investment block of ``n`` candidate buses, shared by
+    the master and the monolithic LP: the ``[candidate, (p, e)]``
+    rating columns ``cols["rating"]`` (at cost 0), their power/energy
+    ratio rows and, when ``budget`` is set, the budget row.  Returns the
+    rating grid."""
+    pe = lp.cols["rating"] = lp.add_cols((n, 2))
     ratio = lp.rows["ratio"] = lp.add_rows((n, 2))
     lp.set_rows(ratio[:, 0], GE, 0.0, (pe[:, 0], 1.0),
                 (pe[:, 1], -tech.rho_min))
     lp.set_rows(ratio[:, 1], LE, 0.0, (pe[:, 0], 1.0),
                 (pe[:, 1], -tech.rho_max))
-    capital = np.array([tech.c_p, tech.c_e])
-    if state.budget is not None:
-        budget = lp.rows["budget"] = lp.add_rows(())
-        lp.set_rows(budget, LE, state.budget, (pe, capital))
+    if budget is not None:
+        row = lp.rows["budget"] = lp.add_rows(())
+        lp.set_rows(row, LE, budget, (pe, [tech.c_p, tech.c_e]))
+    return pe
+
+
+def _build_master(state: MasterState) -> ArrayLP:
+    """The cut model: a free ``z`` column, then the ratings block."""
+    tech = state.tech
+    lp = LPBuilder("master")
+    z = lp.cols["z"] = lp.add_cols(())
+    lp.c[z] = 1.0
+    lp.lb[z] = -math.inf
+    pe = add_ratings(lp, tech, len(state.candidate_buses), state.budget)
     # dispatch costs are nonnegative, so system cost >= investment cost
     floor = lp.rows["capital_floor"] = lp.add_rows(())
-    lp.set_rows(floor, GE, 0.0, (z, 1.0), (pe, -capital))
+    lp.set_rows(floor, GE, 0.0, (z, 1.0), (pe, [-tech.c_p, -tech.c_e]))
     # cut k: z - sum(g_k * pe) >= sampled cost - sum(g_k * point_k)
     cuts = lp.rows["cut"] = lp.add_rows(len(state.cuts))
     lp.set_rows(cuts, GE, [_cut_rhs(cut) for cut in state.cuts], (z, 1.0))
     lp.add_terms(cuts[:, None, None], pe, -np.reshape(
-        [cut.g for cut in state.cuts], (len(state.cuts), n, 2)))
+        [cut.g for cut in state.cuts], (len(state.cuts), *pe.shape)))
     return lp.build()
 
 
@@ -117,7 +125,7 @@ def solve_master(state: MasterState) -> tuple[np.ndarray, float]:
         raise MasterError(f"master solve returned {sol.status}")
     # shading towards zero keeps the ratio rows, lowers the capital cost
     # and moves the grid off a kink at the vertex to its low-storage side
-    return snapped(sol.x[lp.cols["pe"]] * (1 - 1e-7)), sol.objective
+    return snapped(sol.x[lp.cols["rating"]] * (1 - 1e-7)), sol.objective
 
 
 # a level query's cut-model value is at most lb + _LEVEL * (best - lb)
@@ -142,7 +150,7 @@ def level_point(state: MasterState, centre: np.ndarray,
     the ratio rows, which it meets only to rounding, then it is shaded
     and snapped as :func:`solve_master`'s is."""
     lp = _build_master(state)
-    z, pe = lp.cols["z"], lp.cols["pe"].ravel()
+    z, pe = lp.cols["z"], lp.cols["rating"].ravel()
     level = lb + _LEVEL * (state.best_cost - lb)
     A = lp.A.toarray()
     # the master has no equality rows: -sense turns each row into ">="

@@ -132,6 +132,11 @@ def snapped(pe) -> np.ndarray:
     return np.where(pe[:, :1] > INSTALLED_EPS, pe, 0.0)
 
 
+def capital_cost(ratings, tech: StorageTech) -> float:
+    """Investment cost of ``(p, e)`` rating pairs, summed in order."""
+    return sum(tech.c_p * p + tech.c_e * e for p, e in ratings)
+
+
 @dataclass(frozen=True)
 class Plan:
     """Power/energy ratings per bus; absent buses mean zero.  Only
@@ -163,7 +168,7 @@ class Plan:
         return not self.installed_buses()
 
     def investment_cost(self, tech: StorageTech) -> float:
-        return sum(tech.c_p * p + tech.c_e * e for p, e in self.ratings.values())
+        return capital_cost(self.ratings.values(), tech)
 
     def check_ratio_bounds(self, tech: StorageTech):
         """Raise ValueError naming the first bus with a non-finite rating
@@ -196,7 +201,7 @@ class ValidationReport:
 
 def validate_network(net: Network, days: list[TypicalDay]) -> ValidationReport:
     """Collect all invariant violations of a network and its day profiles."""
-    v: list[str] = []
+    v: list[str] = [] if net.buses else ["network has no buses"]
     seen = set()
     for b in net.buses:
         if b in seen:

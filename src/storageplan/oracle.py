@@ -1,8 +1,10 @@
 """Monolithic single-level LP baseline (no profit constraint).
 
-All per-day dispatch blocks are coupled to shared investment variables
-and solved as one LP.  This is the ground-truth for correctness checks
-on small instances and the reference method for the scaling benchmark.
+The cutting-plane master's ratings block (rating columns, ratio rows
+and the budget row) plus every day's dispatch block, coupled through
+the rating columns and solved as one LP.  This is the ground truth for
+correctness checks on small instances and the reference method for the
+scaling benchmark.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 
 from . import lp_core
 from .dispatch import add_day_block, solve_ed
-from .lp_core import GE, LE, LPBuilder
+from .lp_core import LPBuilder
+from .master import add_ratings
 from .model import Network, Plan, StorageTech, TypicalDay, snapped
 
 
@@ -29,24 +32,16 @@ class OracleResult:
 
 def build_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
                      budget: float | None) -> lp_core.ArrayLP:
-    """Rating columns (pR, eR) per candidate bus with their ratio rows,
-    the optional budget row, then one weighted dispatch block per day
-    whose storage rows read the rating columns."""
+    """The master's ratings block (see :func:`~.master.add_ratings`),
+    its columns costed at the capital costs, then one weighted dispatch
+    block per day whose storage rows read the rating columns."""
     lp = LPBuilder(name="monolithic")
-    ratings = lp.add_cols((len(net.candidate_buses), 2))
-    pR, eR = ratings[:, 0], ratings[:, 1]
-    lp.c[pR] = tech.c_p
-    lp.c[eR] = tech.c_e
-    ratio = lp.add_rows(ratings.shape)
-    lp.set_rows(ratio[:, 0], GE, 0.0, (pR, 1.0), (eR, -tech.rho_min))
-    lp.set_rows(ratio[:, 1], LE, 0.0, (pR, 1.0), (eR, -tech.rho_max))
-    if budget is not None:
-        lp.set_rows(lp.add_rows(1), LE, budget, (pR, tech.c_p),
-                    (eR, tech.c_e))
+    rating = add_ratings(lp, tech, len(net.candidate_buses), budget)
+    lp.c[rating] = tech.c_p, tech.c_e
     for day in days:
         add_day_block(lp, net, day, tech, list(net.candidate_buses),
-                      weight=day.weight, p_col=pR, e_col=eR)
-    lp.cols = {"rating": ratings}
+                      weight=day.weight, p_col=rating[:, 0],
+                      e_col=rating[:, 1])
     return lp.build()
 
 

@@ -28,7 +28,8 @@ from .dispatch import (DispatchSolution, is_held, solve_ed,
                        storage_revenue)
 from .master import (MasterState, convergence_check, level_point,
                      solve_master)
-from .model import Network, Plan, StorageTech, TypicalDay, snapped
+from .model import (Network, Plan, StorageTech, TypicalDay, capital_cost,
+                    snapped)
 from .subgradient import Cut, compute_subgradients
 
 log = logging.getLogger(__name__)
@@ -154,17 +155,11 @@ def evaluate_plan(net: Network, days: list[TypicalDay], tech: StorageTech,
                    timings={"dispatch": time.perf_counter() - t0})
 
 
-def _capital(pe: np.ndarray, tech: StorageTech) -> float:
-    """Investment cost of the ratings grid ``pe``, summed row by row in
-    candidate order as :meth:`Plan.investment_cost` sums a plan."""
-    return sum(tech.c_p * p + tech.c_e * e for p, e in pe)
-
-
 def _within_budget(pe: np.ndarray, tech: StorageTech,
                    budget: float | None) -> np.ndarray:
     """``pe`` scaled down onto the budget when it costs more; scaling
     keeps the ratio rows."""
-    ce = _capital(pe, tech)
+    ce = capital_cost(pe, tech)
     if budget is None or ce <= budget:
         return pe
     return snapped(pe * (budget / ce))
@@ -172,7 +167,7 @@ def _within_budget(pe: np.ndarray, tech: StorageTech,
 
 def _model_value(state: MasterState, pe: np.ndarray) -> float:
     """The cut model at ``pe``: its highest cut, or the capital floor."""
-    return max([_capital(pe, state.tech)]
+    return max([capital_cost(pe, state.tech)]
                + [cut.predicted_cost(pe) for cut in state.cuts])
 
 

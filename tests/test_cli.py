@@ -79,6 +79,14 @@ class TestPlanCommand:
         assert run(base_args("plan", m2_files)) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_network_without_buses(self, m2_files, capsys):
+        m2_files["network"].write_text(
+            "[buses]\n[candidates]\n[lines]\n[generators]\n")
+        m2_files["days"].write_text("[day d1]\nweight = 1.0\nn_hours = 2\n")
+        assert run(base_args("plan", m2_files)) == 1
+        err = capsys.readouterr().err
+        assert f"{m2_files['network']}:0: network has no buses" in err
+
     def test_negative_budget(self, m2_files, capsys):
         assert run(base_args("plan", m2_files, budget="-1")) == 1
         assert "budget must be nonnegative" in capsys.readouterr().err
@@ -191,8 +199,7 @@ class TestOracleCommand:
 
     def test_solver_failure_exit_code(self, m2_files, capsys, monkeypatch):
         monkeypatch.setattr(lp_core, "linprog", lambda *args, **kwargs:
-                            lp_core.HighsResult(lp_core.FAILED, "Unknown",
-                                                0))
+                            lp_core.LPSolution(lp_core.FAILED, "Unknown", 0))
         assert run(base_args("oracle", m2_files)) == 2
         assert "error: solver failure on monolithic: Unknown" \
             in capsys.readouterr().err

@@ -282,7 +282,7 @@ def _unknown_first(monkeypatch) -> list:
     def unknown_first(lp, solver=None, **kwargs):
         solvers.append(solver)
         if len(solvers) == 1:
-            return lp_core.HighsResult(lp_core.FAILED, "Unknown", 0)
+            return lp_core.LPSolution(lp_core.FAILED, "Unknown", 0)
         return real(lp, solver=solver, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", unknown_first)
@@ -313,10 +313,55 @@ def test_interior_point_solver(planning_lps, kind, monkeypatch):
 def test_restart_from_own_basis_takes_no_iterations(planning_lps, kind):
     lp = planning_lps[kind]
     cold = lp_core.linprog(lp)
-    warm = lp_core.linprog(lp, basis=cold.basis)
+    warm = lp_core.linprog(lp, basis=cold.model.getBasis())
     assert warm.status == "optimal"
     assert warm.nit == 0
-    assert warm.fun == pytest.approx(cold.fun, rel=1e-12)
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, status, message", [
+    ("dispatch", "optimal", "Optimal"),
+    ("capped", "infeasible", "Infeasible"),
+    ("unbounded", "unbounded", "Unbounded"),
+])
+def test_solve_reports_highs_message_and_iterations(planning_lps, kind,
+                                                    status, message):
+    """solve hands back the outcome of its HiGHS run as it is: the
+    status, HiGHS's name for it and the simplex iteration count.  With
+    every generator capped at 1 MW the dispatch LP is infeasible, found
+    so only after simplex iterations."""
+    dispatch = planning_lps["dispatch"]
+    ub = dispatch.ub.copy()
+    ub[dispatch.cols["pg"]] = 1.0
+    lp = {"dispatch": dispatch, "capped": replace(dispatch, ub=ub),
+          "unbounded": one_var_lp(-math.inf, math.inf, 1.0)}[kind]
+    run = lp_core.linprog(lp)
+    sol = lp_core.solve(lp)
+    assert (sol.status, sol.message) == (status, message)
+    assert sol.nit == run.nit
+    if kind != "unbounded":    # presolve finds the ray without a pivot
+        assert sol.nit > 0
+
+
+def test_hot_re_solves_keep_the_first_basis(monkeypatch):
+    """A held entry keeps the basis of its model's first solve: hot
+    re-solves neither replace it nor read a basis from HiGHS."""
+    real, reads = lp_core._Highs.getBasis, []
+
+    def counting(highs):
+        reads.append(highs)
+        return real(highs)
+
+    monkeypatch.setattr(lp_core._Highs, "getBasis", counting)
+    starts = {}
+    base = small_lp()
+    lp_core.solve(base, starts)
+    first = starts["small"].basis
+    for cost in (1.0, 4.0, 2.5):
+        lp_core.solve(replace(base, c=np.array([cost, 3.0])), starts)
+        assert starts["small"].lp.c[0] == cost
+    assert starts["small"].basis is first
+    assert reads == [starts["small"].model]
 
 
 def test_start_from_another_model_of_the_same_shape():
@@ -582,7 +627,7 @@ def test_failed_hot_solve_is_repeated_cold(monkeypatch):
     def failing_hot(lp, model=None, **kwargs):
         hot.append(model is not None)
         if model is not None:
-            return lp_core.HighsResult(lp_core.FAILED, "forced failure", 0)
+            return lp_core.LPSolution(lp_core.FAILED, "forced failure", 0)
         return real(lp, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", failing_hot)
@@ -612,7 +657,7 @@ def test_held_lp_with_unknown_simplex_status_is_solved_by_interior_point(
         runs.append("model" if model is not None
                     else "basis" if basis is not None else solver or "cold")
         if solver is None:
-            return lp_core.HighsResult(lp_core.FAILED, "Unknown", 0)
+            return lp_core.LPSolution(lp_core.FAILED, "Unknown", 0)
         return real(lp, basis=basis, model=model, solver=solver, **kwargs)
 
     monkeypatch.setattr(lp_core, "linprog", simplex_unknown)

@@ -203,7 +203,7 @@ class TestSolverFailure:
         def simplex_fails_once(lp, solver=None, **kwargs):
             calls.append(solver)
             if len(calls) == 1:
-                return lp_core.HighsResult(lp_core.FAILED, "Unknown", 0)
+                return lp_core.LPSolution(lp_core.FAILED, "Unknown", 0)
             return real(lp, solver=solver, **kwargs)
 
         monkeypatch.setattr(lp_core, "linprog", simplex_fails_once)

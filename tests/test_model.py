@@ -263,6 +263,13 @@ class TestValidateNetwork:
         rep = validate_network(_net(), [_day(weight=-1.0, phi_d=2.0)])
         assert len(rep.violations) == 2
 
+    def test_no_buses(self):
+        """A network without buses has no reference bus to dispatch
+        around; it is reported, not left to fail inside the LP build."""
+        net = _net(buses=(), lines=(), generators=(), candidate_buses=())
+        rep = validate_network(net, [_day(demand={})])
+        assert rep.violations == ["network has no buses"]
+
 
 class TestTypicalDay:
     def test_missing_profile_is_zero(self):

@@ -56,6 +56,32 @@ class TestMonolithic:
         assert res.plan.investment_cost(m2.tech) <= 10.0 + 1e-7
         assert res.system_cost == pytest.approx(2100.0 - 40 * 5 + 10)
 
+    def test_binding_ratio_row_matches_grid_search(self, m2):
+        """With rho_max = 0.5 the ratio row of the ratings block binds:
+        the optimum lies on the p = 0.5 e ray, where a grid search over
+        evaluated plans finds the same cost."""
+        tech = simple_tech(rho_max=0.5)
+        res = solve_monolithic(m2.net, m2.days, tech, None)
+        best = min(
+            evaluate_plan(m2.net, m2.days, tech,
+                          Plan({"b1": (0.5 * e, e)})).system_cost
+            for e in np.linspace(0.0, 40.0, 81)
+        )
+        assert res.system_cost == pytest.approx(1730.0)
+        assert res.system_cost == pytest.approx(best, rel=1e-9)
+        assert res.plan.power("b1") == pytest.approx(10.0)
+        assert res.plan.energy("b1") == pytest.approx(20.0)
+        res.plan.check_ratio_bounds(tech)
+
+    def test_binding_ratio_and_budget_rows(self, m2):
+        tech = simple_tech(rho_max=0.5)
+        res = solve_monolithic(m2.net, m2.days, tech, 20.0)
+        assert res.system_cost == pytest.approx(1853.0 + 1.0 / 3.0)
+        assert res.plan.power("b1") == pytest.approx(20.0 / 3.0)
+        assert res.plan.energy("b1") == pytest.approx(40.0 / 3.0)
+        res.plan.check_ratio_bounds(tech)
+        assert res.plan.investment_cost(tech) <= 20.0 + 1e-7
+
     def test_never_beaten_by_a_sampled_plan(self, rand_instance):
         inst = rand_instance(6)
         res = solve_monolithic(inst.net, inst.days, inst.tech, None)

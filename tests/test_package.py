@@ -16,3 +16,12 @@ def test_installed_rule_lives_in_model():
     naming = sorted(p.relative_to(src).as_posix() for p in src.rglob("*.py")
                     if "INSTALLED_EPS" in p.read_text())
     assert naming == ["model.py"]
+
+
+def test_only_lp_core_runs_highs():
+    """``lp_core`` is the single numerical engine: no other module
+    imports scipy's HiGHS bindings."""
+    src = Path(storageplan.__file__).parent
+    naming = sorted(p.relative_to(src).as_posix() for p in src.rglob("*.py")
+                    if "_highspy" in p.read_text())
+    assert naming == ["lp_core.py"]
