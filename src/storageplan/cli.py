@@ -170,7 +170,6 @@ def _add_case_args(sp):
                          f"({', '.join(BUNDLED_TECHS)})")
     sp.add_argument("--config")
     sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--workers", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="optimize a storage plan")
     _add_case_args(p)
+    p.add_argument("--workers", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--chi", type=float)
     p.add_argument("--budget", type=float)
@@ -188,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="dispatch a fixed plan")
     _add_case_args(p)
+    p.add_argument("--workers", type=int)
     p.add_argument("--plan", required=True)
     p.set_defaults(fn=cmd_evaluate)
 
@@ -198,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dispatch", help="export dispatch and price tables")
     _add_case_args(p)
+    p.add_argument("--workers", type=int)
     p.add_argument("--plan")
     p.set_defaults(fn=cmd_dispatch)
 
@@ -219,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
     try:
         return args.fn(args)
     except (ParseError, ValueError) as exc:

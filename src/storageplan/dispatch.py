@@ -60,29 +60,28 @@ def add_storage_block(lp: LPBuilder, x: np.ndarray, r: np.ndarray,
 
 
 def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
-                  tech: StorageTech, storage_buses: list[str],
-                  p_col: np.ndarray, e_col: np.ndarray, weight: float = 1.0
+                  tech: StorageTech, rating: np.ndarray, weight: float = 1.0
                   ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Append one day's dispatch columns and rows to ``lp``.
 
     Columns and rows are hour-major.  Each hour holds the columns
     (pg, rgu, rgd) per generator, (prs, th) per bus, f per line and
-    :data:`STORAGE_COLS` per storage bus, then the rows bal per bus,
+    :data:`STORAGE_COLS` per candidate bus, then the rows bal per bus,
     regup, regdn, (gmax, gmin, rampup, rampdn) per generator (no ramp
     rows in the first hour), flow per line and :data:`STORAGE_ROWS` per
-    storage bus.  Objective coefficients are scaled by ``weight``;
-    ``p_col``/``e_col``, the storage buses' rating columns, go to
-    :func:`add_storage_block`.  Returns the ``[hour, entity]`` index
-    grids of every column and row kind.
+    candidate bus.  Every candidate bus holds a storage unit whose
+    ratings are the ``[candidate, (p, e)]`` column grid ``rating``.
+    Objective coefficients are scaled by ``weight``.  Returns the
+    ``[hour, entity]`` index grids of every column and row kind.
     """
     T = day.n_hours
-    gens, lines = net.generators, net.lines
-    ng, nb, nl, ns = len(gens), len(net.buses), len(lines), len(storage_buses)
+    gens, lines, cands = net.generators, net.lines, net.candidate_buses
+    ng, nb, nl, ns = len(gens), len(net.buses), len(lines), len(cands)
     bi = net.bus_index()
     gen_bus = [bi[g.bus] for g in gens]
     from_bus = [bi[ln.from_bus] for ln in lines]
     to_bus = [bi[ln.to_bus] for ln in lines]
-    store = [bi[b] for b in storage_buses]
+    store = [bi[b] for b in cands]
 
     def gen_attr(name):
         return np.array([getattr(g, name) for g in gens], dtype=float)
@@ -171,7 +170,7 @@ def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
                 (th[:, from_bus], -1.0 / reactance),
                 (th[:, to_bus], 1.0 / reactance))
 
-    add_storage_block(lp, xs, rs, tech, p_col, e_col)
+    add_storage_block(lp, xs, rs, tech, rating[:, 0], rating[:, 1])
     return cols, rows
 
 
@@ -196,9 +195,7 @@ def build_ed(net: Network, day: TypicalDay, plan: Plan, tech: StorageTech
     """
     lp = LPBuilder(name=_name(day))
     rating = lp.add_cols((len(net.candidate_buses), 2))
-    lp.cols, lp.rows = add_day_block(lp, net, day, tech,
-                                     list(net.candidate_buses),
-                                     rating[:, 0], rating[:, 1])
+    lp.cols, lp.rows = add_day_block(lp, net, day, tech, rating)
     lp.cols["rating"] = rating
     return _rerated(lp.build(), net, plan, tech)
 

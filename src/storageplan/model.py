@@ -208,7 +208,11 @@ def validate_network(net: Network, days: list[TypicalDay]) -> ValidationReport:
             v.append(f"bus {b}: duplicate id")
         seen.add(b)
     bus_set = set(net.buses)
+    candidates = set()
     for b in net.candidate_buses:
+        if b in candidates:
+            v.append(f"candidate bus {b}: duplicate id")
+        candidates.add(b)
         if b not in bus_set:
             v.append(f"candidate bus {b}: not a network bus")
     line_ids = set()

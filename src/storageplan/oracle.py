@@ -39,9 +39,7 @@ def build_monolithic(net: Network, days: list[TypicalDay], tech: StorageTech,
     rating = add_ratings(lp, tech, len(net.candidate_buses), budget)
     lp.c[rating] = tech.c_p, tech.c_e
     for day in days:
-        add_day_block(lp, net, day, tech, list(net.candidate_buses),
-                      weight=day.weight, p_col=rating[:, 0],
-                      e_col=rating[:, 1])
+        add_day_block(lp, net, day, tech, rating, weight=day.weight)
     return lp.build()
 
 

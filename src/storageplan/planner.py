@@ -114,9 +114,8 @@ def dispatch_all(net: Network, days: list[TypicalDay], plan: Plan,
 
 
 def _weighted_cost(days: list[TypicalDay], sols: dict[str, DispatchSolution],
-                   plan: Plan, tech: StorageTech) -> float:
-    return sum(day.weight * sols[day.day_id].cost for day in days) \
-        + plan.investment_cost(tech)
+                   capital: float) -> float:
+    return sum(day.weight * sols[day.day_id].cost for day in days) + capital
 
 
 def total_revenue(days: list[TypicalDay], sols: dict[str, DispatchSolution],
@@ -145,11 +144,11 @@ def evaluate_plan(net: Network, days: list[TypicalDay], tech: StorageTech,
     t0 = time.perf_counter()
     starts: dict = {}
     sols = dispatch_all(net, days, plan, tech, workers, starts)
-    cost = _weighted_cost(days, sols, plan, tech)
+    cost = _weighted_cost(days, sols, plan.investment_cost(tech))
     # a plan with nothing installed dispatches as the zero plan does
     zero_sols = sols if plan.is_empty() else dispatch_all(
         net, days, Plan(), tech, workers, starts)
-    baseline = _weighted_cost(days, zero_sols, Plan(), tech)
+    baseline = _weighted_cost(days, zero_sols, 0.0)
     return _result(days, sols, plan, tech, system_cost=cost,
                    baseline_cost=baseline, converged=True,
                    timings={"dispatch": time.perf_counter() - t0})
@@ -214,17 +213,20 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
     centre = _within_budget(state.best, tech, budget)
     state.reset_bounds()    # the best grid is now the zero grid
 
-    zero = Plan()
+    def sample(pe):
+        """Dispatch the ratings grid ``pe``; its days' solutions and cut."""
+        sols = timed("dispatch", dispatch_all, net, days,
+                     Plan(dict(zip(buses, pe))), tech, workers, state.starts)
+        cost = _weighted_cost(days, sols, float(capital_cost(pe, tech)))
+        grads = timed("subgradient", compute_subgradients,
+                      net, days, sols, pe, tech, state.starts)
+        return sols, Cut(pe, cost, grads)
+
     best_sols: dict[str, DispatchSolution] | None = None
     if not state.cuts or math.isnan(state.baseline_cost):
-        sols0 = timed("dispatch", dispatch_all, net, days, zero, tech, workers,
-                      state.starts)
-        cs0 = _weighted_cost(days, sols0, zero, tech)
-        state.baseline_cost = cs0
-        grads = timed("subgradient", compute_subgradients,
-                      net, days, sols0, zero, tech, state.starts)
-        state.add_cut(Cut(state.best, cs0, grads))
-        best_sols = sols0
+        best_sols, cut = sample(state.best)
+        state.baseline_cost = cut.sampled_cost
+        state.add_cut(cut)
     state.record_sample(state.best, state.baseline_cost)
 
     trace: list[IterationRecord] = []
@@ -244,16 +246,11 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
             query = snapped(step * y + (1 - step) * centre)
         else:
             step = math.nan
-        plan = Plan(dict(zip(buses, query)))
-        sols = timed("dispatch", dispatch_all, net, days, plan, tech,
-                     workers, state.starts)
-        cs = _weighted_cost(days, sols, plan, tech)
+        sols, cut = sample(query)
+        cs = cut.sampled_cost
         if cs < state.best_cost:
             best_sols, centre = sols, query
         state.record_sample(query, cs)
-        grads = timed("subgradient", compute_subgradients,
-                      net, days, sols, plan, tech, state.starts)
-        cut = Cut(query, cs, grads)
         # the query mis-priced y when its cut does not raise the model
         # at y (the model at y, not lb: the master shades y towards
         # zero, off its vertex, so the model at y may lie above lb)
@@ -261,7 +258,7 @@ def inner_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
         mispriced = cut.predicted_cost(y) <= at_y + 1e-9 * max(1.0, abs(at_y))
         state.add_cut(cut)
         trace.append(IterationRecord(nu, lb, cs, state.best_cost,
-                                     len(plan.installed_buses()), step))
+                                     int(np.count_nonzero(query[:, 0])), step))
         log.debug("sweep %d: lower bound %.6f, sampled %.6f, best %.6f, "
                   "gap %.6g, step %g", nu, lb, cs, state.best_cost,
                   state.best_cost - lb, step)

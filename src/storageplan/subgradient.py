@@ -1,17 +1,16 @@
 """Investment subgradients and cutting-plane cuts.
 
-At buses holding storage the weighted rating-constraint duals give the
-sensitivity of system cost to the power and energy ratings directly.
-At empty buses those duals carry no information (the rating rows never
-bind at zero rating), so the value of a marginal unit is found with a
-price-taker profit-maximization LP for a 1 MWh device whose power/energy
-ratio is itself optimized; its optimum is then projected onto the two
-rating coordinates.
-
 Subgradients, like the ratings they apply to, are ``[candidate, (p, e)]``
-grids in ``net.candidate_buses`` order.  A cut sampled at ratings
-``point`` is the row ``z >= sampled_cost + sum(g * (pe - point))`` over
-that grid.
+grids in ``net.candidate_buses`` order.  At buses holding storage the
+weighted rating-constraint duals of the day dispatch LPs give the
+sensitivity of system cost to the power and energy ratings directly
+(:func:`rating_subgradients`).  At empty buses those duals carry no
+information (the rating rows never bind at zero rating), so the value of
+a marginal unit is found with a price-taker profit-maximization LP for a
+1 MWh device whose power/energy ratio is itself optimized; its optimum
+is then projected onto the two rating coordinates
+(:func:`split_subgradient`).  A cut sampled at ratings ``point`` is the
+row ``z >= sampled_cost + sum(g * (pe - point))`` over that grid.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from . import lp_core
 from .dispatch import DispatchSolution, add_storage_block
 from .lp_core import LPBuilder
-from .model import Network, Plan, StorageTech, TypicalDay
+from .model import Network, StorageTech, TypicalDay, snapped
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,20 +40,22 @@ class Cut:
         return self.sampled_cost + float(np.sum(self.g * (pe - self.point)))
 
 
-def subgrad_installed(sols: dict[str, DispatchSolution], weights: dict[str, float],
-                      tech: StorageTech, plan: Plan) -> dict[str, tuple[float, float]]:
-    """Subgradients at installed buses from the weighted rating duals."""
-    out = {}
-    for b in plan.installed_buses():
-        gp = tech.c_p
-        ge = tech.c_e
-        for day_id, sol in sols.items():
-            w = weights[day_id]
-            c = sol.bus_col(b)
-            gp += w * float(np.sum(sol.phi_ch[:, c] + sol.phi_dis[:, c]))
-            ge += w * float(np.sum(sol.phi_soc[:, c]))
-        out[b] = (gp, ge)
-    return out
+def rating_subgradients(net: Network, days: list[TypicalDay],
+                        sols: dict[str, DispatchSolution],
+                        tech: StorageTech) -> np.ndarray:
+    """``[c_p, c_e] + sum_d w_d * [sum_t (phi_ch + phi_dis), sum_t phi_soc]``
+    at the candidate buses, day by day in ``days`` order, each bus's hours
+    summed pairwise as ``np.sum`` does: the subgradient grid where storage
+    is installed."""
+    bi = net.bus_index()
+    at = [bi[b] for b in net.candidate_buses]
+    g = np.tile([tech.c_p, tech.c_e], (len(at), 1))
+    for day in days:
+        sol = sols[day.day_id]
+        g = g + day.weight * np.column_stack((
+            (sol.phi_ch + sol.phi_dis).T[at].sum(axis=1),
+            sol.phi_soc.T[at].sum(axis=1)))
+    return g
 
 
 def _name(bus: str) -> str:
@@ -131,30 +132,25 @@ def split_subgradient(g0: float, rho0: float) -> tuple[float, float]:
 
 
 def compute_subgradients(net: Network, days: list[TypicalDay],
-                         sols: dict[str, DispatchSolution], plan: Plan,
+                         sols: dict[str, DispatchSolution], pe: np.ndarray,
                          tech: StorageTech, starts: dict | None = None
                          ) -> np.ndarray:
-    """The ``[candidate, (p, e)]`` subgradient grid at ``plan``: rating
-    duals at installed buses, the split marginal-unit value at empty
-    ones; ``starts`` holds the marginal-unit LPs loaded (see
-    :func:`solve_sgsp`)."""
+    """The subgradient grid at the ratings grid ``pe`` dispatched as
+    ``sols``: :func:`rating_subgradients`, with each row that ``snapped(pe)``
+    leaves empty overwritten by its split marginal-unit value, solved in
+    candidate order from the store ``starts`` (see :func:`solve_sgsp`)."""
     if starts is None:
         starts = {}
-    weights = {day.day_id: day.weight for day in days}
-    installed = subgrad_installed(sols, weights, tech, plan)
-    return np.array([
-        installed[b] if b in installed
-        else split_subgradient(*solve_sgsp(days, sols, tech, b, starts))
-        for b in net.candidate_buses], dtype=float).reshape(-1, 2)
+    g = rating_subgradients(net, days, sols, tech)
+    for k in np.flatnonzero(snapped(pe)[:, 0] == 0):
+        g[k] = split_subgradient(*solve_sgsp(
+            days, sols, tech, net.candidate_buses[k], starts))
+    return g
 
 
-def revenue_identity(plan: Plan, subgrads: dict[str, tuple[float, float]],
+def revenue_identity(pe: np.ndarray, g: np.ndarray,
                      tech: StorageTech) -> float:
-    """Storage revenue reconstructed from the installed-bus subgradients;
-    a bus rated below the installed threshold dispatches nothing."""
-    total = 0.0
-    for b in plan.installed_buses():
-        p, e = plan.ratings[b]
-        gp, ge = subgrads[b]
-        total -= (gp - tech.c_p) * p + (ge - tech.c_e) * e
-    return total
+    """Storage revenue reconstructed from the subgradient grid ``g`` at
+    the ratings grid ``pe``; a bus rated below the installed threshold
+    dispatches nothing."""
+    return float(np.sum(((tech.c_p, tech.c_e) - g) * snapped(pe)))

@@ -19,7 +19,7 @@ from storageplan.dispatch import (check_no_simultaneous,
 from storageplan.model import (Plan, capital_recovery_factor,
                                libes_marginal_cost, prorate_capital_cost,
                                split_round_trip_efficiency)
-from storageplan.subgradient import subgrad_installed
+from storageplan.subgradient import rating_subgradients
 
 EPSILON = 0.05
 
@@ -87,13 +87,11 @@ def test_criterion_3_revenue_identity(rand_instance, m2):
     for inst, plan in cases:
         assert not plan.is_empty()
         sols = _dispatch_all(inst, plan)
-        weights = {d.day_id: d.weight for d in inst.days}
-        grads = subgrad_installed(sols, weights, inst.tech, plan)
+        grads = rating_subgradients(inst.net, inst.days, sols, inst.tech)
         direct = sum(storage_revenue(sols[d.day_id], inst.tech, d.weight)
                      for d in inst.days)
-        dual = sum(-(gp - inst.tech.c_p) * plan.power(b)
-                   - (ge - inst.tech.c_e) * plan.energy(b)
-                   for b, (gp, ge) in grads.items())
+        pe = plan.grid(inst.net.candidate_buses)
+        dual = float(np.sum(((inst.tech.c_p, inst.tech.c_e) - grads) * pe))
         rel = abs(direct - dual) / max(1.0, abs(direct))
         assert rel <= 1e-6, f"{inst.name}: identity off by {rel:.2e}"
         worst = max(worst, rel)
@@ -111,12 +109,12 @@ def test_criterion_4_finite_difference_subgradients(rand_instance, m2):
     for inst in cases:
         plan = Plan({b: (6.0, 6.0) for b in inst.net.candidate_buses[:2]})
         sols = _dispatch_all(inst, plan)
-        weights = {d.day_id: d.weight for d in inst.days}
-        grads = subgrad_installed(sols, weights, inst.tech, plan)
+        grads = rating_subgradients(inst.net, inst.days, sols, inst.tech)
         f0 = _system_cost(inst, plan, sols)
         for b in plan.installed_buses():
             p0, e0 = plan.ratings[b]
-            for coord, g in zip(("p", "e"), grads[b]):
+            row = grads[inst.net.candidate_buses.index(b)]
+            for coord, g in zip(("p", "e"), row):
                 def cost(delta):
                     r = dict(plan.ratings)
                     r[b] = ((p0 + delta, e0) if coord == "p"

@@ -130,6 +130,22 @@ class TestPlanCommand:
         assert run(base_args("plan", m2_files, config=config)) == 1
         assert "workers must be at least 1" in capsys.readouterr().err
 
+    def test_duplicate_candidate_rejected(self, m2_files, capsys):
+        network = m2_files["network"]
+        text = network.read_text()
+        assert "[candidates]\nb1\n" in text
+        network.write_text(text.replace("[candidates]\nb1\n",
+                                        "[candidates]\nb1\nb1\n"))
+        assert run(base_args("plan", m2_files)) == 1
+        assert f"{network}:0: candidate bus b1: duplicate id" \
+            in capsys.readouterr().err
+
+    def test_usage_error_is_bad_input(self, m2_files, capsys):
+        assert run(base_args("plan", m2_files, epsilon="abc")) == 1
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+        assert run(["plan", "--help"]) == 0
+        assert "--workers" in capsys.readouterr().out
+
     def test_invalid_network_rejected(self, m2_files, capsys):
         text = m2_files["network"].read_text().replace("g1 b1", "g1 b9")
         m2_files["network"].write_text(text)
@@ -180,6 +196,12 @@ class TestOracleCommand:
     def test_negative_budget(self, m2_files, capsys):
         assert run(base_args("oracle", m2_files, budget="-1")) == 1
         assert "budget must be nonnegative" in capsys.readouterr().err
+
+    def test_no_workers_option(self, m2_files, capsys):
+        # the monolithic LP is one HiGHS run: there is nothing to thread
+        assert run(base_args("oracle", m2_files, workers="2")) == 1
+        assert "unrecognized arguments: --workers 2" \
+            in capsys.readouterr().err
 
     def test_infeasible_case_names_its_day(self, m2_files, capsys):
         # 50 MW of generation against 60 MW of demand in hour 2

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from storageplan import lp_core
-from storageplan.dispatch import (DispatchInfeasibleError, build_ed,
-                                  check_no_simultaneous, export_dispatch_table,
-                                  export_price_table, relaxation_threshold,
-                                  solve_ed, storage_revenue)
+from storageplan.dispatch import (DispatchInfeasibleError, add_day_block,
+                                  build_ed, check_no_simultaneous,
+                                  export_dispatch_table, export_price_table,
+                                  relaxation_threshold, solve_ed,
+                                  storage_revenue)
 from storageplan.instances import simple_tech
 from storageplan.model import (INSTALLED_EPS, Generator, Network, Plan,
                                StorageTech, TypicalDay)
-from storageplan.subgradient import (compute_subgradients, solve_sgsp,
-                                     split_subgradient, subgrad_installed)
+from storageplan.subgradient import (compute_subgradients,
+                                     rating_subgradients, solve_sgsp,
+                                     split_subgradient)
 
 
 def one_bus(gens, demand, **day_kw):
@@ -50,6 +52,26 @@ class TestProblemSize:
             with_es = build_ed(net, day, plan, tech)
             assert with_es.n_vars - base.n_vars == 24 * 5 + 2
             assert with_es.n_rows - base.n_rows == 24 * 5
+
+    def test_day_block_puts_a_unit_at_every_candidate(self, rand_instance):
+        """The units are the candidate buses in order, each rated by its
+        row of the rating grid."""
+        inst = rand_instance(1)
+        net, day = inst.net, inst.days[0]
+        n = len(net.candidate_buses)
+        lp = lp_core.LPBuilder("day")
+        rating = lp.add_cols((n, 2))
+        cols, rows = add_day_block(lp, net, day, inst.tech, rating)
+        assert cols["pch"].shape == (day.n_hours, n)
+        assert rows["chcap"].shape == (day.n_hours, n)
+        A = lp.build().A.toarray()
+        for k in range(n):
+            assert (A[rows["chcap"][:, k], rating[k, 0]] == -1.0).all()
+            assert (A[rows["socmax"][:, k], rating[k, 1]] == -1.0).all()
+        bi = net.bus_index()
+        for k, b in enumerate(net.candidate_buses):
+            bal = rows["bal"][:, bi[b]]
+            assert (A[bal, cols["pdis"][:, k]] == inst.tech.eta_dis).all()
 
 
 class TestBasicDispatch:
@@ -351,18 +373,16 @@ class TestGolden:
         at = plan if at_plan else Plan()
         sols = {d.day_id: solve_ed(inst.net, d, at, inst.tech)
                 for d in inst.days}
-        grads = compute_subgradients(inst.net, inst.days, sols, at,
-                                     inst.tech)
-        expect = GOLDEN_SUBGRAD_PLAN if at_plan else GOLDEN_SUBGRAD_ZERO
         buses = inst.net.candidate_buses
+        grads = compute_subgradients(inst.net, inst.days, sols,
+                                     at.grid(buses), inst.tech)
+        expect = GOLDEN_SUBGRAD_PLAN if at_plan else GOLDEN_SUBGRAD_ZERO
         for row in grads:
             assert tuple(row) == _golden(expect)
         # installed rows are the rating duals, empty rows the split
         # marginal-unit values, solved in bus order from one store
         if at_plan:
-            weights = {d.day_id: d.weight for d in inst.days}
-            installed = subgrad_installed(sols, weights, inst.tech, at)
-            rows = [installed[b] for b in buses]
+            rows = rating_subgradients(inst.net, inst.days, sols, inst.tech)
         else:
             starts = {}
             rows = [split_subgradient(*solve_sgsp(inst.days, sols, inst.tech,

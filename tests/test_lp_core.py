@@ -188,9 +188,10 @@ def planning_lps():
     plan = Plan({b: (2.0, 4.0) for b in net.candidate_buses[:2]})
     sols = {d.day_id: solve_ed(net, d, plan, tech) for d in days}
     cost = sum(d.weight * sols[d.day_id].cost for d in days)
-    grads = compute_subgradients(net, days, sols, plan, tech)
+    pe = plan.grid(net.candidate_buses)
+    grads = compute_subgradients(net, days, sols, pe, tech)
     state = master.MasterState(list(net.candidate_buses), tech, inst.budget)
-    state.add_cut(Cut(plan.grid(net.candidate_buses), cost, grads))
+    state.add_cut(Cut(pe, cost, grads))
     return {
         "dispatch": build_ed(net, days[0], plan, tech),
         "sgsp": build_sgsp(days, sols, tech, net.candidate_buses[-1]),

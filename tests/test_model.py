@@ -233,6 +233,13 @@ class TestValidateNetwork:
         rep = validate_network(_net(candidate_buses=("b9",)), [_day()])
         assert any("candidate bus b9" in v for v in rep.violations)
 
+    def test_duplicate_candidate(self):
+        """A plan is keyed by bus, so a repeated candidate would merge two
+        rating rows; it is reported instead."""
+        rep = validate_network(_net(candidate_buses=("b2", "b1", "b2")),
+                               [_day()])
+        assert rep.violations == ["candidate bus b2: duplicate id"]
+
     def test_generator_limits(self):
         net = _net(generators=(
             Generator("g1", "b1", 10.0, 20.0, -1.0, 5.0, 20.0, 1.0, 1.0),))

@@ -7,13 +7,28 @@ from storageplan.dispatch import solve_ed, storage_revenue
 from storageplan.model import Plan
 from storageplan.planner import evaluate_plan
 from storageplan.subgradient import (Cut, compute_subgradients,
-                                     revenue_identity, solve_sgsp,
-                                     split_subgradient, subgrad_installed)
+                                     rating_subgradients, revenue_identity,
+                                     solve_sgsp, split_subgradient)
 
 
 def dispatch_map(inst, plan):
     return {d.day_id: solve_ed(inst.net, d, plan, inst.tech)
             for d in inst.days}
+
+
+def installed_by_loop(inst, sols, plan):
+    """The installed buses' subgradients, bus by bus and day by day."""
+    out = {}
+    for b in plan.installed_buses():
+        gp, ge = inst.tech.c_p, inst.tech.c_e
+        for day in inst.days:
+            sol = sols[day.day_id]
+            c = sol.bus_col(b)
+            gp += day.weight * float(np.sum(sol.phi_ch[:, c]
+                                            + sol.phi_dis[:, c]))
+            ge += day.weight * float(np.sum(sol.phi_soc[:, c]))
+        out[b] = (gp, ge)
+    return out
 
 
 class TestSplit:
@@ -74,15 +89,13 @@ class TestInstalledBranch:
         # capital at 2/MWh: total slope -38 shared by the two coordinates
         plan = Plan({"b1": (8.0, 8.0)})
         sols = dispatch_map(m2, plan)
-        grads = subgrad_installed(sols, {"d1": 1.0}, m2.tech, plan)
-        gp, ge = grads["b1"]
+        (gp, ge), = rating_subgradients(m2.net, m2.days, sols, m2.tech)
         assert gp + ge == pytest.approx(-38.0, abs=1e-7)
 
     def test_matches_central_difference_along_diagonal(self, m2):
         plan = Plan({"b1": (8.0, 8.0)})
         sols = dispatch_map(m2, plan)
-        (gp, ge), = subgrad_installed(sols, {"d1": 1.0}, m2.tech,
-                                      plan).values()
+        (gp, ge), = rating_subgradients(m2.net, m2.days, sols, m2.tech)
         h = 1e-3
         f = {}
         for s in (8.0 - h, 8.0 + h):
@@ -100,57 +113,80 @@ class TestInstalledBranch:
         b0 = buses[0]
         plan = Plan({b0: (5.0, 5.0)})
         sols = dispatch_map(inst, plan)
-        grads = compute_subgradients(inst.net, inst.days, sols, plan,
-                                     inst.tech)
+        grads = compute_subgradients(inst.net, inst.days, sols,
+                                     plan.grid(buses), inst.tech)
         assert grads.shape == (len(buses), 2)
-        weights = {d.day_id: d.weight for d in inst.days}
-        assert tuple(grads[0]) == subgrad_installed(sols, weights, inst.tech,
-                                                    plan)[b0]
+        assert tuple(grads[0]) == installed_by_loop(inst, sols, plan)[b0]
         starts = {}
         empty = [split_subgradient(*solve_sgsp(inst.days, sols, inst.tech, b,
                                                starts)) for b in buses[1:]]
         assert np.array_equal(grads[1:], empty)
 
+    @pytest.mark.parametrize("seed", [1, 4, 5, 8])
+    def test_installed_rows_match_the_bus_by_bus_loop(self, rand_instance,
+                                                      seed):
+        # the grid gathers every bus's duals at once; its installed rows
+        # keep the bits of summing them bus by bus and day by day
+        inst = rand_instance(seed)
+        buses = inst.net.candidate_buses
+        assert any(d.weight != 1.0 for d in inst.days)
+        plan = Plan({b: (5.0, 6.0) for b in buses[:2]})
+        sols = dispatch_map(inst, plan)
+        grads = compute_subgradients(inst.net, inst.days, sols,
+                                     plan.grid(buses), inst.tech)
+        ref = installed_by_loop(inst, sols, plan)
+        assert list(ref) == list(buses[:2])
+        assert np.array_equal(grads[:2], list(ref.values()))
+        assert np.array_equal(
+            grads[:2],
+            rating_subgradients(inst.net, inst.days, sols, inst.tech)[:2])
+
 
 class TestRevenueIdentity:
     def test_two_tier_instance(self, m2):
         plan = Plan({"b1": (8.0, 8.0)})
+        pe = plan.grid(["b1"])
         sols = dispatch_map(m2, plan)
-        grads = subgrad_installed(sols, {"d1": 1.0}, m2.tech, plan)
+        grads = compute_subgradients(m2.net, m2.days, sols, pe, m2.tech)
         direct = sum(storage_revenue(s, m2.tech, 1.0) for s in sols.values())
         assert direct == pytest.approx(320.0)
-        assert revenue_identity(plan, grads, m2.tech) == pytest.approx(
+        assert revenue_identity(pe, grads, m2.tech) == pytest.approx(
             direct, rel=1e-9)
 
     def test_uninstalled_bus_earns_nothing(self, m2):
-        # energy rated, power at or below the installed threshold: no
-        # installed-bus subgradient, no revenue (it used to raise KeyError)
+        # energy rated, power at or below the installed threshold: the
+        # bus counts as empty, so its row is the split marginal-unit
+        # value, and it earns no revenue
         plan = Plan({"b1": (5e-5, 5e-4)})
-        grads = subgrad_installed(dispatch_map(m2, plan), {"d1": 1.0},
-                                  m2.tech, plan)
-        assert grads == {}
-        assert revenue_identity(plan, grads, m2.tech) == 0.0
+        pe = plan.grid(["b1"])
+        sols = dispatch_map(m2, plan)
+        grads = compute_subgradients(m2.net, m2.days, sols, pe, m2.tech)
+        assert np.array_equal(grads, [split_subgradient(
+            *solve_sgsp(m2.days, sols, m2.tech, "b1"))])
+        assert revenue_identity(pe, grads, m2.tech) == 0.0
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_random_instances(self, rand_instance, seed):
         inst = rand_instance(seed)
-        plan = Plan({b: (5.0, 6.0) for b in inst.net.candidate_buses[:2]})
+        buses = inst.net.candidate_buses
+        plan = Plan({b: (5.0, 6.0) for b in buses[:2]})
+        pe = plan.grid(buses)
         sols = dispatch_map(inst, plan)
-        weights = {d.day_id: d.weight for d in inst.days}
-        grads = subgrad_installed(sols, weights, inst.tech, plan)
+        grads = compute_subgradients(inst.net, inst.days, sols, pe,
+                                     inst.tech)
         direct = sum(storage_revenue(sols[d.day_id], inst.tech, d.weight)
                      for d in inst.days)
-        ident = revenue_identity(plan, grads, inst.tech)
+        ident = revenue_identity(pe, grads, inst.tech)
         assert ident == pytest.approx(direct,
                                       rel=1e-6, abs=1e-6 * max(1, abs(direct)))
 
 
 class TestCut:
     def test_zero_plan_cut_supports_true_cost(self, m2):
-        zero = Plan()
-        sols = dispatch_map(m2, zero)
+        zero = np.zeros((1, 2))
+        sols = dispatch_map(m2, Plan())
         grads = compute_subgradients(m2.net, m2.days, sols, zero, m2.tech)
-        cut = Cut(zero.grid(["b1"]), 2100.0, grads)
+        cut = Cut(zero, 2100.0, grads)
         for p, e in [(10.0, 10.0), (4.0, 1.0), (0.4, 4.0), (20.0, 20.0)]:
             true = evaluate_plan(m2.net, m2.days, m2.tech,
                                  Plan({"b1": (p, e)})).system_cost
@@ -158,16 +194,16 @@ class TestCut:
 
     def test_predicted_cost_at_own_point(self, m2):
         plan = Plan({"b1": (8.0, 8.0)})
-        sols = dispatch_map(m2, plan)
-        grads = compute_subgradients(m2.net, m2.days, sols, plan, m2.tech)
         pe = plan.grid(["b1"])
+        sols = dispatch_map(m2, plan)
+        grads = compute_subgradients(m2.net, m2.days, sols, pe, m2.tech)
         cut = Cut(pe, 1796.0, grads)
         assert cut.predicted_cost(pe) == pytest.approx(1796.0)
 
     def test_zero_plan_cut_entries(self, m2):
-        zero = Plan()
-        sols = dispatch_map(m2, zero)
-        grads = compute_subgradients(m2.net, m2.days, sols, zero, m2.tech)
+        sols = dispatch_map(m2, Plan())
+        grads = compute_subgradients(m2.net, m2.days, sols, np.zeros((1, 2)),
+                                     m2.tech)
         # b1 is empty: its row is the split marginal-unit value
         assert np.array_equal(grads, [split_subgradient(
             *solve_sgsp(m2.days, sols, m2.tech, "b1"))])
