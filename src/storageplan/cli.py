@@ -47,10 +47,12 @@ def _load_case(args):
     return net, days, tech
 
 
-def _load_config(args) -> dict:
+def _load_config(args, keys) -> dict:
+    """The ``--config`` entries in ``keys``, overridden by options."""
     cfg = {}
     if getattr(args, "config", None):
-        cfg = datafiles.parse_config(_load_text(args.config), args.config)
+        cfg = datafiles.parse_config(_load_text(args.config), args.config,
+                                     keys)
     for key in ("epsilon", "chi", "workers"):
         val = getattr(args, key, None)
         if val is not None:
@@ -71,7 +73,7 @@ def _write(out_dir: str, name: str, body: str, stamp: bool = True):
 
 def cmd_plan(args) -> int:
     net, days, tech = _load_case(args)
-    cfg = _load_config(args)
+    cfg = _load_config(args, datafiles.CONFIG_TYPES)
     result = planner.outer_loop(
         net, days, tech, chi=cfg.get("chi", 1.0),
         budget_init=cfg.get("budget_max"),
@@ -95,7 +97,7 @@ def cmd_plan(args) -> int:
 def cmd_evaluate(args) -> int:
     net, days, tech = _load_case(args)
     plan = datafiles.parse_plan(_load_text(args.plan), args.plan)
-    cfg = _load_config(args)
+    cfg = _load_config(args, {"workers"})
     result = planner.evaluate_plan(net, days, tech, plan,
                                    workers=cfg.get("workers", 1))
     _write(args.out_dir, "report.txt", planner.format_report(result))
@@ -105,7 +107,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_oracle(args) -> int:
     net, days, tech = _load_case(args)
-    cfg = _load_config(args)
+    cfg = _load_config(args, {"budget_max"})
     res = oracle.solve_monolithic(net, days, tech, cfg.get("budget_max"))
     body = [f"system_cost = {res.system_cost:.6f}",
             f"rows = {res.rows}", f"cols = {res.cols}",
@@ -126,7 +128,7 @@ def cmd_dispatch(args) -> int:
     plan = Plan()
     if args.plan:
         plan = datafiles.parse_plan(_load_text(args.plan), args.plan)
-    cfg = _load_config(args)
+    cfg = _load_config(args, {"workers"})
     sols = planner.dispatch_all(net, days, plan, tech,
                                 workers=cfg.get("workers", 1))
     dtab = "".join(export_dispatch_table(s, net) for s in sols.values())

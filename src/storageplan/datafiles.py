@@ -231,12 +231,16 @@ def write_plan(plan: Plan) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_config(text: str, path: str = "<config>") -> dict:
+CONFIG_TYPES = {"epsilon": float, "chi": float, "budget_max": float,
+                "budget_min": float, "max_iter": int, "max_outer": int,
+                "workers": int}
+
+
+def parse_config(text: str, path: str = "<config>",
+                 keys=frozenset(CONFIG_TYPES)) -> dict:
     """Run configuration: epsilon, chi, budget_max, budget_min, max_iter,
-    max_outer, workers."""
-    keys = {"epsilon": float, "chi": float, "budget_max": float,
-            "budget_min": float, "max_iter": int, "max_outer": int,
-            "workers": int}
+    max_outer, workers.  ``keys`` are the entries the caller reads; any
+    other entry is unknown."""
     out: dict = {}
     for lineno, line in _logical_lines(text):
         toks = line.replace("=", " ").split()
@@ -245,10 +249,10 @@ def parse_config(text: str, path: str = "<config>") -> dict:
         key, val = toks[0], _num(toks[1], path, lineno)
         if key in out:
             raise ParseError(path, lineno, f"repeated config entry {key!r}")
-        if keys[key] is int and not val.is_integer():
+        if CONFIG_TYPES[key] is int and not val.is_integer():
             raise ParseError(path, lineno, f"{key} must be an integer: "
                                            f"{toks[1]!r}")
-        out[key] = keys[key](val)
+        out[key] = CONFIG_TYPES[key](val)
     return out
 
 

@@ -183,7 +183,8 @@ class LPSolution:
     """One HiGHS run: ``status`` is a name of :data:`_STATUS` or
     :data:`FAILED`, ``message`` HiGHS's name for its model status and
     ``nit`` its simplex iteration count.  The primal values, row duals
-    and reduced costs, in model order, are set only when optimal.
+    and reduced costs (HiGHS's ``col_dual``: 0 at a basic column), in
+    model order, are set only when optimal.
     ``model`` is the model HiGHS ran, for a later re-solve or a start.
     """
 
@@ -210,10 +211,10 @@ def linprog(lp: ArrayLP, *, basis=None, model: _Highs | None = None,
     hold ``lp``) nothing is loaded: HiGHS runs again from the model's
     own basis and factorization.
 
-    ``solver`` is HiGHS's ``solver`` option for the first run of a model
+    ``solver`` is HiGHS's ``solver`` option for the run of a model
     loaded here (``"ipm"``: interior point, then crossover to a vertex);
-    the dual simplex then runs from where it stopped.  ``None`` leaves
-    HiGHS its dual simplex alone.
+    the model is then left on the dual simplex for later runs.  ``None``
+    leaves HiGHS its dual simplex alone.
     """
     highs = model
     if highs is None:
@@ -236,11 +237,7 @@ def linprog(lp: ArrayLP, *, basis=None, model: _Highs | None = None,
             highs.setBasis(basis)
     highs.run()
     if solver is not None:
-        # the simplex solver sets up the basis read below (reading it
-        # after an interior-point run crashes HiGHS); from the
-        # crossover's vertex it takes no iterations
         highs.setOptionValue("solver", "simplex")
-        highs.run()
     model_status = highs.getModelStatus()
     info = highs.getInfo()
     status = _STATUS.get(model_status, FAILED)
@@ -250,20 +247,12 @@ def linprog(lp: ArrayLP, *, basis=None, model: _Highs | None = None,
                           model=highs)
 
     sol = highs.getSolution()
-    # a column dual is reported only at a lower or upper bound: not for
-    # basic columns, nor for nonbasic free columns (status kZero)
-    basis_status, basic = highs.getBasicVariables()
-    if basis_status != _highs.HighsStatus.kOk:
-        return LPSolution(FAILED, f"{message}, but no basis",
-                          info.simplex_iteration_count, model=highs)
-    at_bound = np.isfinite(lp.lb) | np.isfinite(lp.ub)
-    at_bound[basic[basic >= 0]] = False
     return LPSolution(
         status, message, info.simplex_iteration_count,
         objective=float(info.objective_function_value),
         x=np.array(sol.col_value),
         duals=np.array(sol.row_dual),
-        reduced_costs=np.where(at_bound, np.array(sol.col_dual), 0.0),
+        reduced_costs=np.array(sol.col_dual),
         model=highs)
 
 

@@ -176,6 +176,15 @@ class TestEvaluateCommand:
         assert run(args) == 1
         assert "bus b1: negative rating" in capsys.readouterr().err
 
+    def test_config_entry_it_does_not_read(self, m2_files, capsys):
+        config = m2_files["out"].parent / "run.cfg"
+        config.write_text("workers = 2\nepsilon = 0.1\n")
+        args = base_args("evaluate", m2_files, config=config) + \
+            ["--plan", str(m2_files["plan"])]
+        assert run(args) == 1
+        assert f"{config}:2: unknown config entry: 'epsilon = 0.1'" \
+            in capsys.readouterr().err
+
     def test_infeasible_dispatch_exit_code(self, m2_files, capsys):
         # demand beyond total generating capacity
         text = m2_files["days"].read_text().replace("80.0", "500.0")
@@ -218,6 +227,17 @@ class TestOracleCommand:
         assert run(args) == 3
         assert "error: dispatch infeasible on day d1 (hour 2)" \
             in capsys.readouterr().err
+
+    def test_config_entry_it_does_not_read(self, m2_files, capsys):
+        """The oracle reads only budget_max from a config: a workers
+        entry, which plan would check, is unknown at its line."""
+        config = m2_files["out"].parent / "run.cfg"
+        config.write_text("workers = 0\n")
+        assert run(base_args("oracle", m2_files, config=config)) == 1
+        assert f"{config}:1: unknown config entry: 'workers = 0'" \
+            in capsys.readouterr().err
+        config.write_text("budget_max = 1e3\n")
+        assert run(base_args("oracle", m2_files, config=config)) == 0
 
     def test_solver_failure_exit_code(self, m2_files, capsys, monkeypatch):
         monkeypatch.setattr(lp_core, "linprog", lambda *args, **kwargs:

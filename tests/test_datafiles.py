@@ -36,6 +36,9 @@ class TestNetworkRoundTrip:
             parse_network("b1 b2\n")
         with pytest.raises(ParseError, match="line row"):
             parse_network("[lines]\nl1 b1 b2 0.1\n")
+        with pytest.raises(ParseError, match="<network>:2: generator row "
+                                             "needs: id bus g_max"):
+            parse_network("[generators]\ng1 b1 10 0 1 1 20 0\n")
         with pytest.raises(ParseError, match="not a number"):
             parse_network("[lines]\nl1 b1 b2 x 5\n")
         with pytest.raises(ParseError, match="NaN"):
@@ -159,6 +162,15 @@ class TestConfig:
         with pytest.raises(ParseError, match="<config>:3: repeated config "
                                              "entry 'epsilon'"):
             parse_config("epsilon = 0.1\nchi = 2\nepsilon = 0.2\n")
+
+    def test_entries_outside_the_keys_read_are_unknown(self):
+        """A caller names the entries it reads; any other is reported at
+        its line, as an unknown one is."""
+        text = "workers = 2\nchi = 1.5\n"
+        assert parse_config(text) == {"workers": 2, "chi": 1.5}
+        with pytest.raises(ParseError,
+                           match="run.cfg:2: unknown config entry: 'chi = 1.5'"):
+            parse_config(text, "run.cfg", {"workers"})
 
     def test_seed_is_not_a_key(self):
         """No command reads a seed, so a config naming one is rejected."""

@@ -294,8 +294,7 @@ def _unknown_first(monkeypatch) -> list:
 def test_interior_point_solver(planning_lps, kind, monkeypatch):
     """A cold solve that ends in an unknown status is repeated by
     interior point, which ends optimal at the dual simplex's bound, with
-    row duals and reduced costs: the dual simplex runs after the
-    crossover and sets up the basis they are read from."""
+    row duals and reduced costs read from the crossover's vertex."""
     lp = small_lp() if kind == "small" else planning_lps[kind]
     ref = lp_core.solve(lp)
     solvers = _unknown_first(monkeypatch)
@@ -308,6 +307,35 @@ def test_interior_point_solver(planning_lps, kind, monkeypatch):
     if kind == "small":    # a unique vertex
         assert sol.x == pytest.approx(ref.x, abs=1e-9)
         assert sol.duals == pytest.approx(ref.duals, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master"])
+def test_interior_point_run_leaves_the_model_on_simplex(planning_lps, kind):
+    """One interior-point run reaches the dual simplex's optimum with a
+    closed duality gap, and leaves its model on the simplex solver at a
+    basis that a hot re-solve keeps."""
+    lp = planning_lps[kind]
+    ref = lp_core.linprog(lp)
+    sol = lp_core.linprog(lp, solver="ipm")
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert lp_core.duality_gap(sol, lp) <= lp_core.GAP_TOL
+    assert sol.model.getOptionValue("solver")[1] == "simplex"
+    again = lp_core.linprog(lp, model=sol.model)
+    assert (again.status, again.nit) == ("optimal", 0)
+    assert again.objective == sol.objective
+
+
+@pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master"])
+def test_reduced_costs_are_zero_at_basic_columns(planning_lps, kind):
+    """HiGHS reports a reduced cost of exactly 0 at every basic column,
+    so its column duals are read as they are."""
+    sol = lp_core.linprog(planning_lps[kind])
+    status, basic = sol.model.getBasicVariables()
+    assert status == lp_core._highs.HighsStatus.kOk
+    cols = basic[basic >= 0]
+    assert cols.size > 0
+    assert np.all(sol.reduced_costs[cols] == 0.0)
 
 
 @pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master"])
@@ -665,11 +693,13 @@ def test_held_lp_with_unknown_simplex_status_is_solved_by_interior_point(
     sol = solve_ed(net, day, large, tech, starts)
     monkeypatch.undo()
     assert runs == ["model", "cold", "ipm"]
+    held_model = starts[f"ed[{day.day_id}]"].model
+    assert held_model.getOptionValue("solver")[1] == "simplex"
     cold = lp_core.solve(build_ed(net, day, large, tech))
     assert sol.cost == pytest.approx(cold.objective, rel=1e-9)
     assert sol.duality_gap <= lp_core.GAP_TOL
 
     again, started = _solve_held(
         lp_core.held(starts, f"ed[{day.day_id}]"), starts, monkeypatch)
-    assert started == ["model"]
+    assert (started, again.nit) == (["model"], 0)
     assert again.objective == pytest.approx(cold.objective, rel=1e-9)

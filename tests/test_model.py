@@ -154,6 +154,13 @@ class TestPlan:
         with pytest.raises(ValueError, match="bus b1"):
             Plan({"b1": (0.1, 1.0)}).check_ratio_bounds(tech)
 
+    def test_power_without_energy(self):
+        tech = StorageTech(c_p=1, c_e=1, rho_min=0.5, rho_max=2.0,
+                           eta_ch=1, eta_dis=1)
+        with pytest.raises(ValueError,
+                           match="bus b1: positive power with zero energy"):
+            Plan({"b1": (1.0, 0.0)}).check_ratio_bounds(tech)
+
     @pytest.mark.parametrize("p, e", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf),
         (1.0, math.inf), (math.nan, math.nan)])
@@ -251,6 +258,22 @@ class TestValidateNetwork:
         net = _net(buses=("b1", "b1", "b2"))
         rep = validate_network(net, [_day()])
         assert any("duplicate" in v for v in rep.violations)
+
+    def test_duplicate_line_generator_and_day_ids(self):
+        net = _net(lines=_net().lines * 2, generators=_net().generators * 2)
+        rep = validate_network(net, [_day(), _day()])
+        assert rep.violations == ["line l1: duplicate id",
+                                  "generator g1: duplicate id",
+                                  "day d1: duplicate id"]
+
+    def test_day_without_hours(self):
+        rep = validate_network(_net(), [_day(n_hours=0, demand={})])
+        assert rep.violations == ["day d1: n_hours must be positive"]
+
+    def test_profile_at_unknown_bus(self):
+        rep = validate_network(_net(), [_day(renewable={"b7": (1.0, 1.0)})])
+        assert rep.violations == [
+            "day d1: renewable references unknown bus b7"]
 
     def test_profile_length(self):
         rep = validate_network(_net(), [_day(demand={"b1": (10.0,)})])

@@ -252,6 +252,34 @@ class TestInnerLoop:
         for cut in cuts:
             assert np.array_equal(snapped(cut.point), cut.point)
 
+    def test_converged_master_dispatches_the_best_plan_once(
+            self, rand_instance, monkeypatch):
+        """A state whose master converges before any sweep (a second call
+        at budget 0) has no dispatched best plan: the zero plan is
+        dispatched once at the end, on the held day models, and costs
+        what a fresh zero-plan evaluation does."""
+        inst = rand_instance(1, n_buses=10, n_days=2)
+        net, days, tech = inst.net, inst.days, inst.tech
+        state = master.MasterState(list(net.candidate_buses), tech,
+                                   inst.budget)
+        inner_loop(net, days, tech, inst.budget, state=state)
+        real, plans = planner.dispatch_all, []
+
+        def recording(net, days, plan, *args, **kwargs):
+            plans.append(plan)
+            return real(net, days, plan, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "dispatch_all", recording)
+        res = inner_loop(net, days, tech, 0.0, state=state)
+        monkeypatch.undo()
+        assert res.converged and res.iterations == []
+        assert plans == [Plan()]
+        assert res.plan.is_empty()
+        assert res.system_cost == res.baseline_cost
+        assert set(res.solutions) == {d.day_id for d in days}
+        fresh = evaluate_plan(net, days, tech, Plan())
+        assert res.day_costs == pytest.approx(fresh.day_costs, rel=1e-9)
+
     def test_cost_dominates_oracle_within_tolerance(self, rand_instance):
         inst = rand_instance(1)
         res = inner_loop(inst.net, inst.days, inst.tech, inst.budget,
