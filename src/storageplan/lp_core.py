@@ -17,17 +17,19 @@ used throughout the package:
   (nonnegative at a lower bound, nonpositive at an upper bound).
 
 Each HiGHS run yields one :class:`LPSolution` (status, message,
-iteration count and, when optimal, the solution); :func:`solve` hands
+iteration counts and, when optimal, the solution); :func:`solve` hands
 its caller the last run's as it is.
 
-An LP that is solved again and again (a day's dispatch, a marginal-unit
-LP) stays loaded in HiGHS between solves with its rows fixed: a
-re-solve patches only the costs and column bounds that changed and runs
-again from the model's own basis and factorization, and an LP's first
-load starts from the basis of an earlier LP of the same shape; every LP
-runs the retry ladder of :func:`solve`.  Starts change only the simplex
-path, never the model, so the optimum is the same up to the choice
-among degenerate optimal vertices.  HiGHS is deterministic for
+An LP that is solved again and again (a day's dispatch, the
+marginal-unit LP) stays loaded in HiGHS between solves with its rows
+fixed: a re-solve patches only the costs and column bounds that changed
+and runs again from the model's own basis and factorization, and an
+LP's first load starts from the basis of an earlier LP of the same
+shape; every LP runs the retry ladder of :func:`solve`.  A planning
+call so holds one model per typical day and one marginal-unit model,
+which every empty candidate bus re-costs in turn.  Starts change only
+the simplex path, never the model, so the optimum is the same up to the
+choice among degenerate optimal vertices.  HiGHS is deterministic for
 identical input and start, so repeated solves return bit-identical
 solutions.
 """
@@ -181,8 +183,10 @@ FAILED = "failed"
 @dataclass
 class LPSolution:
     """One HiGHS run: ``status`` is a name of :data:`_STATUS` or
-    :data:`FAILED`, ``message`` HiGHS's name for its model status and
-    ``nit`` its simplex iteration count.  The primal values, row duals
+    :data:`FAILED`, ``message`` HiGHS's name for its model status,
+    ``nit`` its simplex iteration count and ``ipm_nit`` and
+    ``crossover_nit`` those of an interior-point run and its crossover
+    (0 for a simplex run).  The primal values, row duals
     and reduced costs (HiGHS's ``col_dual``: 0 at a basic column), in
     model order, are set only when optimal.
     ``model`` is the model HiGHS ran, for a later re-solve or a start.
@@ -191,6 +195,8 @@ class LPSolution:
     status: str
     message: str
     nit: int
+    ipm_nit: int = 0
+    crossover_nit: int = 0
     objective: float = math.nan
     x: np.ndarray = field(default_factory=lambda: np.empty(0))
     duals: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -241,14 +247,15 @@ def linprog(lp: ArrayLP, *, basis=None, model: _Highs | None = None,
     model_status = highs.getModelStatus()
     info = highs.getInfo()
     status = _STATUS.get(model_status, FAILED)
-    message = highs.modelStatusToString(model_status)
+    run = (status, highs.modelStatusToString(model_status),
+           info.simplex_iteration_count, info.ipm_iteration_count,
+           info.crossover_iteration_count)
     if status != "optimal":
-        return LPSolution(status, message, info.simplex_iteration_count,
-                          model=highs)
+        return LPSolution(*run, model=highs)
 
     sol = highs.getSolution()
     return LPSolution(
-        status, message, info.simplex_iteration_count,
+        *run,
         objective=float(info.objective_function_value),
         x=np.array(sol.col_value),
         duals=np.array(sol.row_dual),

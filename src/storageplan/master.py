@@ -8,8 +8,9 @@ row ``z >= sampled_cost + sum(g * (pe - point))`` over it (see
 :class:`~storageplan.subgradient.Cut`).  Because every dispatch cost is
 nonnegative, ``z >= investment cost`` is a globally valid epigraph
 row; it keeps the first master solve bounded when no budget is set.
-The master returns a ratings grid: the cut model's vertex shaded by a
-relative 1e-7 towards zero, then :func:`~storageplan.model.snapped`.
+The master returns a ratings grid: the cut model's vertex clipped into
+the ratio rows, shaded by a relative 1e-7 towards zero, then
+:func:`~storageplan.model.snapped`.
 Shading keeps the ratio and budget rows and puts the grid on the
 low-storage side of any kink of the cost surface at the vertex, where
 prices (and so storage revenue) are ambiguous.  :func:`level_point`
@@ -44,8 +45,8 @@ class MasterState:
     best_cost: float = field(init=False)
     best: np.ndarray = field(init=False)    # ratings grid of the best sample
     lower_bound: float = field(init=False)
-    # the dispatch and marginal-unit LPs held loaded in HiGHS (see
-    # lp_core.solve), shared by the inner loops of one planning call
+    # the day dispatch LPs and the marginal-unit LP held loaded in HiGHS
+    # (see lp_core.solve), shared by the inner loops of one planning call
     starts: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -93,6 +94,16 @@ def add_ratings(lp: LPBuilder, tech: StorageTech, n: int,
     return pe
 
 
+def _shaded(pe: np.ndarray, tech: StorageTech) -> np.ndarray:
+    """The ratings grid ``pe`` with its power ratings clipped into the
+    ratio rows, which an LP vertex meets only to its tolerances, then
+    shaded by a relative 1e-7 towards zero and snapped.  Inside the rows
+    the clip changes nothing."""
+    p, e = pe.T
+    p = np.clip(p, tech.rho_min * e, tech.rho_max * e)
+    return snapped(np.column_stack((p, e)) * (1 - 1e-7))
+
+
 def _build_master(state: MasterState) -> ArrayLP:
     """The cut model: a free ``z`` column, then the ratings block."""
     tech = state.tech
@@ -113,10 +124,11 @@ def _build_master(state: MasterState) -> ArrayLP:
 
 
 def solve_master(state: MasterState) -> tuple[np.ndarray, float]:
-    """Minimize the cut model; return its ratings grid, shaded towards
-    zero and snapped, and the lower bound.  A cut model that HiGHS's
-    dual simplex cannot finish is solved again by interior point, as
-    every LP is (see :func:`lp_core.solve`)."""
+    """Minimize the cut model; return its ratings grid, clipped into the
+    ratio rows, shaded towards zero and snapped (:func:`_shaded`), and
+    the lower bound.  A cut model that HiGHS's dual simplex cannot
+    finish is solved again by interior point, as every LP is (see
+    :func:`lp_core.solve`)."""
     if not state.cuts:
         raise MasterError("master requires at least one cut")
     lp = _build_master(state)
@@ -125,7 +137,7 @@ def solve_master(state: MasterState) -> tuple[np.ndarray, float]:
         raise MasterError(f"master solve returned {sol.status}")
     # shading towards zero keeps the ratio rows, lowers the capital cost
     # and moves the grid off a kink at the vertex to its low-storage side
-    return snapped(sol.x[lp.cols["rating"]] * (1 - 1e-7)), sol.objective
+    return _shaded(sol.x[lp.cols["rating"]], state.tech), sol.objective
 
 
 # a level query's cut-model value is at most lb + _LEVEL * (best - lb)
@@ -146,9 +158,9 @@ def level_point(state: MasterState, centre: np.ndarray,
     nonnegative least squares on ``[G.T; f] u = (0, .., 0, 1)`` with
     ``f = h - G centre``, each row scaled to a largest coefficient of 1.
     (HiGHS's QP solver, given the same rows, stopped short on most such
-    QPs of larger networks.)  The grid's power ratings are clipped into
-    the ratio rows, which it meets only to rounding, then it is shaded
-    and snapped as :func:`solve_master`'s is."""
+    QPs of larger networks.)  The grid is clipped into the ratio rows,
+    which it meets only to rounding, shaded and snapped as
+    :func:`solve_master`'s is (:func:`_shaded`)."""
     lp = _build_master(state)
     z, pe = lp.cols["z"], lp.cols["rating"].ravel()
     level = lb + _LEVEL * (state.best_cost - lb)
@@ -170,10 +182,7 @@ def level_point(state: MasterState, centre: np.ndarray,
     r = E @ u - target
     if not r[-1] < -1e-12:  # r = 0: no grid meets the rows
         return None
-    tech = state.tech
-    p, e = (c - r[:-1] / r[-1]).reshape(-1, 2).T
-    p = np.clip(p, tech.rho_min * e, tech.rho_max * e)
-    return snapped(np.column_stack((p, e)) * (1 - 1e-7))
+    return _shaded((c - r[:-1] / r[-1]).reshape(-1, 2), state.tech)
 
 
 def convergence_check(state: MasterState, epsilon: float) -> bool:

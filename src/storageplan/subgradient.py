@@ -9,8 +9,11 @@ information (the rating rows never bind at zero rating), so the value of
 a marginal unit is found with a price-taker profit-maximization LP for a
 1 MWh device whose power/energy ratio is itself optimized; its optimum
 is then projected onto the two rating coordinates
-(:func:`split_subgradient`).  A cut sampled at ratings ``point`` is the
-row ``z >= sampled_cost + sum(g * (pe - point))`` over that grid.
+(:func:`split_subgradient`).  The LP's rows do not depend on the bus,
+only its costs do, so a planning call holds one marginal-unit LP loaded
+in HiGHS and re-costs it bus by bus (:func:`solve_sgsp`).  A cut
+sampled at ratings ``point`` is the row
+``z >= sampled_cost + sum(g * (pe - point))`` over that grid.
 """
 
 from __future__ import annotations
@@ -58,8 +61,7 @@ def rating_subgradients(net: Network, days: list[TypicalDay],
     return g
 
 
-def _name(bus: str) -> str:
-    return f"sgsp[{bus}]"
+_NAME = "sgsp"   # the store key of the one marginal-unit LP of every bus
 
 
 def _sgsp_costs(days: list[TypicalDay], prices: dict[str, DispatchSolution],
@@ -90,19 +92,28 @@ def build_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
     :data:`~storageplan.dispatch.STORAGE_COLS` order.  Prices are frozen
     at the current iteration's duals; they enter the objective only.
     The optimal objective is the net daily cost of the unit excluding
-    the energy-capital constant ``c_e``.
+    the energy-capital constant ``c_e``.  Only the costs depend on
+    ``bus``; ``rows`` names each day's storage rows by its day id.
     """
-    lp = LPBuilder(name=_name(bus))
+    lp = LPBuilder(name=_NAME)
     rho, energy = lp.add_cols(2)
     lp.lb[rho] = tech.rho_min
     lp.ub[rho] = tech.rho_max
     lp.lb[energy] = lp.ub[energy] = 1.0
     for day in days:
         x = lp.add_cols((day.n_hours, 1, 5))
-        add_storage_block(lp, x, lp.add_rows(x.shape), tech, rho, energy)
+        r = lp.rows[day.day_id] = lp.add_rows(x.shape)
+        add_storage_block(lp, x, r, tech, rho, energy)
     lp.c = _sgsp_costs(days, prices, tech, bus)
     lp.cols = {"rho": rho}
     return lp.build()
+
+
+def _built_for(lp: lp_core.ArrayLP, days: list[TypicalDay]) -> bool:
+    """Whether the marginal-unit LP ``lp`` holds one storage block per
+    day of ``days``, in order, each of the day's hours."""
+    return ([(d, r.shape[0]) for d, r in lp.rows.items()]
+            == [(day.day_id, day.n_hours) for day in days])
 
 
 def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
@@ -111,12 +122,14 @@ def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
     """Return (g0, rho0): marginal-unit net daily cost and its P/E ratio.
 
     ``starts`` is the store of :func:`lp_core.solve` (a fresh one when
-    none is given); the LP held there for ``bus`` is re-solved with the
-    new prices' costs, not rebuilt."""
+    none is given).  It holds one marginal-unit LP for every bus: the LP
+    held there is re-costed with ``bus``'s prices and HiGHS re-solves it
+    from the last bus's basis.  A held LP built for another day list is
+    rebuilt, not patched."""
     if starts is None:
         starts = {}
-    lp = lp_core.held(starts, _name(bus))
-    if lp is None:
+    lp = lp_core.held(starts, _NAME)
+    if lp is None or not _built_for(lp, days):
         lp = build_sgsp(days, prices, tech, bus)
     else:
         lp = replace(lp, c=_sgsp_costs(days, prices, tech, bus))

@@ -326,6 +326,21 @@ def test_interior_point_run_leaves_the_model_on_simplex(planning_lps, kind):
     assert again.objective == sol.objective
 
 
+def test_interior_point_run_reports_its_iterations(planning_lps):
+    """An interior-point run reports its own and its crossover's
+    iterations beside the simplex count, which stays the simplex's
+    alone; a simplex run reports no interior-point iterations."""
+    lp = planning_lps["dispatch"]
+    ipm = lp_core.linprog(lp, solver="ipm")
+    assert ipm.status == "optimal"
+    assert ipm.ipm_nit > 0 and ipm.nit == 0
+    simplex = lp_core.linprog(lp)
+    assert simplex.nit > 0
+    assert (simplex.ipm_nit, simplex.crossover_nit) == (0, 0)
+    again = lp_core.linprog(lp, model=ipm.model)
+    assert (again.nit, again.ipm_nit, again.crossover_nit) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("kind", ["dispatch", "sgsp", "master"])
 def test_reduced_costs_are_zero_at_basic_columns(planning_lps, kind):
     """HiGHS reports a reduced cost of exactly 0 at every basic column,
@@ -501,15 +516,16 @@ def test_held_models_equal_fresh_builds(monkeypatch):
     assert checked["ed"] > len(inst.days) and checked["sgsp"] > 1
 
 
-def test_each_lp_is_loaded_once_per_planning_call(monkeypatch):
-    """An inner loop loads one HiGHS model per day and one per bus whose
-    marginal-unit LP it solves; every other solve re-uses a model."""
-    inst = instances.random_instance(1, n_buses=10, n_days=5)
+def _recording_loads(monkeypatch) -> tuple[list, list, list]:
+    """Patch ``lp_core`` to record the name of each LP solved, the name
+    of each LP loaded into a new HiGHS model and each start store."""
     real_solve, real_linprog = lp_core.solve, lp_core.linprog
-    names, loads = [], []
+    names, loads, stores = [], [], []
 
     def naming_solve(lp, starts=None):
         names.append(lp.name)
+        if starts is not None and not any(s is starts for s in stores):
+            stores.append(starts)
         return real_solve(lp, starts)
 
     def counting_linprog(*args, model=None, **kwargs):
@@ -519,15 +535,43 @@ def test_each_lp_is_loaded_once_per_planning_call(monkeypatch):
 
     monkeypatch.setattr(lp_core, "solve", naming_solve)
     monkeypatch.setattr(lp_core, "linprog", counting_linprog)
-    res = planner.inner_loop(inst.net, inst.days, inst.tech, inst.budget)
-    days = {n for n in names if n.startswith("ed[")}
-    buses = {n for n in names if n.startswith("sgsp[")}
-    assert len(res.iterations) > 1 and buses
-    assert days == {f"ed[{d.day_id}]" for d in inst.days}
+    return names, loads, stores
+
+
+def _assert_loaded_once(days, names, loads, stores):
+    """One planning call loaded one model per day and one marginal-unit
+    model, which the empty buses shared, and its one store holds those
+    ``len(days) + 1`` models; every other solve re-used a model."""
+    models = sorted([f"ed[{d.day_id}]" for d in days] + ["sgsp"])
+    assert names.count("sgsp") > 1
+    assert sorted(set(names) - {"master"}) == models
     held = [n for n in loads if n != "master"]
-    assert len(held) == len(inst.days) + len(buses)
-    assert set(held) == days | buses
+    assert sorted(held) == models
     assert len(names) - names.count("master") > len(held)
+    (store,) = stores
+    assert sorted(store) == models and len(store) == len(days) + 1
+
+
+def test_each_lp_is_loaded_once_per_planning_call(monkeypatch):
+    """An inner loop loads one HiGHS model per day and exactly one
+    marginal-unit model, which every empty bus of every sweep re-costs;
+    every other solve re-uses a model."""
+    inst = instances.random_instance(1, n_buses=10, n_days=5)
+    names, loads, stores = _recording_loads(monkeypatch)
+    res = planner.inner_loop(inst.net, inst.days, inst.tech, inst.budget)
+    assert len(res.iterations) > 1
+    _assert_loaded_once(inst.days, names, loads, stores)
+
+
+def test_outer_loop_rounds_share_the_held_models(monkeypatch):
+    """The rounds of an outer loop share one store, so a 2-round call
+    also loads one model per day and one marginal-unit model."""
+    inst = instances.random_instance(2, n_buses=8, n_days=2)
+    names, loads, stores = _recording_loads(monkeypatch)
+    res = planner.outer_loop(inst.net, inst.days, inst.tech, chi=5.0,
+                             budget_init=inst.budget)
+    assert len(res.outer_trace) == 2
+    _assert_loaded_once(inst.days, names, loads, stores)
 
 
 def _boxed_small_lp(y_lo: float, y_hi: float, base=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +123,39 @@ class TestRatioRows:
         assert p >= 0.5 * e - 1e-6
 
 
+    def test_vertex_past_the_ratio_row_is_clipped_into_it(self,
+                                                          monkeypatch):
+        """A vertex meets the ratio rows only to HiGHS's tolerances: at
+        ratio 4.0000003 against rho_max = 4 its power rating is clipped
+        onto the row, where shading alone would hand dispatch a plan it
+        rejects; a vertex inside the rows is only shaded."""
+        tech = simple_tech(rho_max=4.0)
+        real = lp_core.solve
+
+        def solved_at(p, e):
+            def solve(lp, starts=None):
+                sol = real(lp, starts)
+                x = sol.x.copy()
+                x[lp.cols["rating"][0]] = p, e
+                return dataclasses.replace(sol, x=x)
+            return solve
+
+        state = fresh_state(tech=tech)
+        state.add_cut(make_cut([(0.0, 0.0)], 2100.0, [(-19.0, -19.0)]))
+        shaded = snapped(np.array([(40.000003, 10.0)]) * (1 - 1e-7))
+        with pytest.raises(ValueError, match="power/energy ratio"):
+            as_plan(state, shaded).check_ratio_bounds(tech)
+        monkeypatch.setattr(lp_core, "solve", solved_at(40.000003, 10.0))
+        pe, _ = solve_master(state)
+        as_plan(state, pe).check_ratio_bounds(tech)
+        assert np.array_equal(pe, snapped(np.array([(40.0, 10.0)])
+                                          * (1 - 1e-7)))
+        monkeypatch.setattr(lp_core, "solve", solved_at(39.9, 10.0))
+        pe, _ = solve_master(state)
+        assert np.array_equal(pe, snapped(np.array([(39.9, 10.0)])
+                                          * (1 - 1e-7)))
+
+
 class TestDeterminism:
     def test_repeat_solves_identical(self):
         def run():
@@ -170,19 +204,21 @@ class TestGolden:
     def test_three_buses_three_cuts_with_budget(self):
         """Ratings and bound pinned bit for bit: any change to how the
         master LP is assembled must hand HiGHS the same model.  The plan
-        is the cut model's vertex shaded towards zero: within a relative
-        1e-7 of ``z`` on the cut model, and it meets the ratio and budget
-        rows."""
+        is the cut model's vertex clipped into the ratio rows and shaded
+        towards zero: within a relative 1e-7 of ``z`` on the cut model,
+        and it meets the ratio and budget rows.  b1's vertex lies on its
+        rho_min row, solved 6 ulps below it; the clip puts it on it."""
         state = three_bus_state()
         tech = state.tech
         pe, z = solve_master(state)
         plan = as_plan(state, pe)
         assert z == 1758.8779069767443
         assert plan.ratings == {
-            "b1": (5.982557541279081, 23.93023016511635),
+            "b1": (5.982557541279087, 23.93023016511635),
             "b3": (1.5174417087209282, 6.069766834883708),
         }
         assert np.array_equal(snapped(pe), pe)
+        assert pe[0, 0] == tech.rho_min * pe[0, 1]
         model = max(cut.predicted_cost(pe) for cut in state.cuts)
         assert z <= model <= z + 1e-7 * abs(z)
         plan.check_ratio_bounds(tech)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from storageplan import lp_core, planner, subgradient
 from storageplan.dispatch import solve_ed, storage_revenue
 from storageplan.model import Plan
 from storageplan.planner import evaluate_plan
-from storageplan.subgradient import (Cut, compute_subgradients,
+from storageplan.subgradient import (Cut, build_sgsp, compute_subgradients,
                                      rating_subgradients, revenue_identity,
                                      solve_sgsp, split_subgradient)
 
@@ -82,6 +83,45 @@ class TestMarginalUnit:
             fs = evaluate_plan(m2.net, m2.days, m2.tech, plan).system_cost
             assert fs == pytest.approx(f0 + s * g0, rel=1e-9)
 
+
+    def test_re_costed_lp_matches_cold_builds(self, rand_instance,
+                                              monkeypatch):
+        """At every empty bus of every sweep of an inner loop, the one
+        held marginal-unit LP, re-costed for the bus and re-solved from
+        the last bus's basis, reaches the objective of a cold solve of a
+        fresh build, and its ratio lies within the ratio bounds."""
+        inst = rand_instance(1, n_buses=10, n_days=3)
+        tech = inst.tech
+        real, buses = subgradient.solve_sgsp, []
+
+        def checking(days, prices, tech, bus, starts=None):
+            g0, rho0 = real(days, prices, tech, bus, starts)
+            cold = lp_core.solve(build_sgsp(days, prices, tech, bus))
+            assert g0 == pytest.approx(cold.objective + tech.c_e, rel=1e-9)
+            assert tech.rho_min <= rho0 <= tech.rho_max
+            buses.append(bus)
+            return g0, rho0
+
+        monkeypatch.setattr(subgradient, "solve_sgsp", checking)
+        res = planner.inner_loop(inst.net, inst.days, tech, inst.budget)
+        assert len(res.iterations) > 1
+        assert len(set(buses)) > 1 and len(buses) > len(set(buses))
+
+    def test_held_lp_of_another_day_list_is_rebuilt(self, rand_instance):
+        """One store given all days and then fewer (or the reverse)
+        rebuilds the held marginal-unit LP for the new day list, and
+        each solve equals a solve from a fresh store."""
+        inst = rand_instance(1, n_buses=10, n_days=3)
+        sols = dispatch_map(inst, Plan())
+        bus = inst.net.candidate_buses[-1]
+        for lists in ((inst.days, inst.days[:2]),
+                      (inst.days[:2], inst.days)):
+            starts = {}
+            for days in lists:
+                got = solve_sgsp(days, sols, inst.tech, bus, starts)
+                assert got == solve_sgsp(days, sols, inst.tech, bus)
+                assert list(starts["sgsp"].lp.rows) \
+                    == [d.day_id for d in days]
 
 class TestInstalledBranch:
     def test_directional_slope_at_interior_point(self, m2):
