@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 invalid input, 2 the solve stopped without
-reaching the convergence tolerance or HiGHS could not finish an LP,
-3 infeasible dispatch.
+reaching the convergence tolerance, HiGHS could not finish an LP, or a
+master or marginal-unit LP did not end optimal, 3 infeasible dispatch.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import bench, datafiles, lp_core, oracle, planner, scenario
 from .datafiles import ParseError
-from .dispatch import (DispatchInfeasibleError, export_dispatch_table,
-                       export_price_table)
+from .dispatch import (DispatchInfeasibleError, check_plan,
+                       export_dispatch_table, export_price_table)
 from .model import Plan, validate_network
 
 EXIT_OK = 0
@@ -45,6 +45,16 @@ def _load_case(args):
         raise ParseError(args.network, 0,
                          "; ".join(report.violations))
     return net, days, tech
+
+
+def _load_plan(args, net, tech) -> Plan:
+    """The ``--plan`` file, checked against the case like a network."""
+    plan = datafiles.parse_plan(_load_text(args.plan), args.plan)
+    try:
+        check_plan(net, plan, tech)
+    except ValueError as exc:
+        raise ParseError(args.plan, 0, str(exc)) from None
+    return plan
 
 
 def _load_config(args, keys) -> dict:
@@ -96,7 +106,7 @@ def cmd_plan(args) -> int:
 
 def cmd_evaluate(args) -> int:
     net, days, tech = _load_case(args)
-    plan = datafiles.parse_plan(_load_text(args.plan), args.plan)
+    plan = _load_plan(args, net, tech)
     cfg = _load_config(args, {"workers"})
     result = planner.evaluate_plan(net, days, tech, plan,
                                    workers=cfg.get("workers", 1))
@@ -125,9 +135,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_dispatch(args) -> int:
     net, days, tech = _load_case(args)
-    plan = Plan()
-    if args.plan:
-        plan = datafiles.parse_plan(_load_text(args.plan), args.plan)
+    plan = _load_plan(args, net, tech) if args.plan else Plan()
     cfg = _load_config(args, {"workers"})
     sols = planner.dispatch_all(net, days, plan, tech,
                                 workers=cfg.get("workers", 1))
@@ -156,6 +164,8 @@ def cmd_bench(args) -> int:
     sizes = tuple(args.sizes or (1, 3, 5, 10))
     if any(s < 1 for s in sizes):
         raise ValueError("bench sizes must be positive")
+    if args.seed < 0:
+        raise ValueError("bench seed must be nonnegative")
     epsilon = 0.05 if args.epsilon is None else args.epsilon
     rows = bench.scaling_benchmark(args.seed, sizes, epsilon)
     text = bench.format_bench(rows)

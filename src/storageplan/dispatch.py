@@ -174,13 +174,20 @@ def add_day_block(lp: LPBuilder, net: Network, day: TypicalDay,
     return cols, rows
 
 
-def _ratings(net: Network, plan: Plan, tech: StorageTech) -> np.ndarray:
-    """Checked ``[candidate, (power, energy)]`` ratings, snapped: exactly
-    zero where nothing is installed."""
+def check_plan(net: Network, plan: Plan, tech: StorageTech):
+    """Raise ValueError naming the first plan bus that is not a storage
+    candidate of ``net`` or whose ratings break
+    :meth:`~storageplan.model.Plan.check_ratio_bounds`."""
     plan.check_ratio_bounds(tech)
     for b in plan.ratings:
         if b not in net.candidate_buses:
             raise ValueError(f"plan bus {b} is not a storage candidate")
+
+
+def _ratings(net: Network, plan: Plan, tech: StorageTech) -> np.ndarray:
+    """Checked (:func:`check_plan`) ``[candidate, (power, energy)]``
+    ratings, snapped: exactly zero where nothing is installed."""
+    check_plan(net, plan, tech)
     return snapped(plan.grid(net.candidate_buses))
 
 
@@ -311,11 +318,9 @@ def solve_ed(net: Network, day: TypicalDay, plan: Plan,
              tech: StorageTech, starts: dict | None = None
              ) -> DispatchSolution:
     """Dispatch one day; ``starts`` is the store of :func:`lp_core.solve`,
-    a fresh one when none is given.  The day's LP is built once per
+    if any (none holds nothing).  The day's LP is built once per
     store: a re-solve fixes the rating columns of the LP held there at
     the plan's ratings and HiGHS re-solves its loaded model."""
-    if starts is None:
-        starts = {}
     lp = lp_core.held(starts, _name(day))
     lp = (build_ed(net, day, plan, tech) if lp is None
           else _rerated(lp, net, plan, tech))

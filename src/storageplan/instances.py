@@ -1,12 +1,15 @@
-"""Ready-made planning instances: tiny analytic cases and a seeded
-random-instance generator used by the benchmark and the test suite."""
+"""Ready-made planning instances: tiny analytic cases, read from the
+bundled examples or derived from them, and a seeded random-instance
+generator used by the benchmark and the test suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from importlib import resources
 
 import numpy as np
 
+from . import datafiles
 from .dispatch import DispatchInfeasibleError
 from .model import Generator, Line, Network, Plan, StorageTech, TypicalDay
 from .planner import dispatch_all
@@ -29,21 +32,23 @@ def simple_tech(c_p: float = 1.0, c_e: float = 1.0, rho_min: float = 0.1,
                        eta_ch=eta, eta_dis=eta, **kwargs)
 
 
-def _single_bus(gens: list[Generator], demand: tuple[float, ...]
-                ) -> tuple[Network, TypicalDay]:
-    net = Network(buses=("b1",), lines=(), generators=tuple(gens),
-                  candidate_buses=("b1",))
-    day = TypicalDay(day_id="d1", weight=1.0, n_hours=len(demand),
-                     demand={"b1": demand}, phi_d=0.0, phi_r=0.0)
-    return net, day
+def _bundled(name: str) -> Instance:
+    """The example case shipped in ``data/examples/<name>``."""
+    def read(kind):
+        path = f"data/examples/{name}/{kind}.txt"
+        return resources.files("storageplan").joinpath(path).read_text(), path
+
+    return Instance(name, datafiles.parse_network(*read("network")),
+                    datafiles.parse_days(*read("days")),
+                    datafiles.parse_tech(*read("tech")))
 
 
 def m1() -> Instance:
-    """One flat-priced generator; storage can never save anything."""
-    net, day = _single_bus(
-        [Generator("g1", "b1", 100.0, 0.0, 1e6, 1e6, 20.0, 0.0, 0.0)],
-        (50.0, 80.0))
-    return Instance("m1", net, [day], simple_tech())
+    """:func:`m2` with one flat-priced generator; storage can never save
+    anything."""
+    base = m2()
+    return replace(base, name="m1", net=replace(base.net, generators=(
+        Generator("g1", "b1", 100.0, 0.0, 1e6, 1e6, 20.0, 0.0, 0.0),)))
 
 
 def m2() -> Instance:
@@ -53,22 +58,18 @@ def m2() -> Instance:
     the marginal prices are (10, 50); operating cost 60*10 + 60*10
     + 20*50 + ... = 2100.
     """
-    net, day = _single_bus(
-        [Generator("g1", "b1", 60.0, 0.0, 1e6, 1e6, 10.0, 0.0, 0.0),
-         Generator("g2", "b1", 100.0, 0.0, 1e6, 1e6, 50.0, 0.0, 0.0)],
-        (50.0, 80.0))
-    return Instance("m2", net, [day], simple_tech())
+    return _bundled("m2")
 
 
 def m2_outer() -> Instance:
     """Variant of :func:`m2` with tight cheap capacity and pricier
     storage, tuned so the required-return loop has work to do."""
-    net, day = _single_bus(
-        [Generator("g1", "b1", 70.0, 0.0, 1e6, 1e6, 10.0, 0.0, 0.0),
-         Generator("g2", "b1", 100.0, 0.0, 1e6, 1e6, 50.0, 0.0, 0.0)],
-        (50.0, 80.0))
-    return Instance("m2_outer", net, [day], simple_tech(c_p=15.0, c_e=15.0),
-                    budget=450.0)
+    base = m2()
+    cheap, dear = base.net.generators
+    return replace(base, name="m2_outer",
+                   net=replace(base.net,
+                               generators=(replace(cheap, g_max=70.0), dear)),
+                   tech=replace(base.tech, c_p=15.0, c_e=15.0), budget=450.0)
 
 
 def neglmp() -> Instance:
@@ -80,25 +81,7 @@ def neglmp() -> Instance:
     -50, the exact-relaxation condition fails there, and a 20 MW / 20 MWh
     device with round-trip efficiency 0.72 burns energy by cycling.
     """
-    eta = float(np.sqrt(0.72))
-    net = Network(
-        buses=("b1", "b2"),
-        lines=(Line("l1", "b1", "b2", 0.1, 30.0),),
-        generators=(Generator("g1", "b2", 100.0, 0.0, 1e6, 1e6, 60.0,
-                              0.0, 0.0),),
-        candidate_buses=("b1",),
-    )
-    T = 4
-    day = TypicalDay(
-        day_id="d1", weight=1.0, n_hours=T,
-        demand={"b1": (10.0,) * T, "b2": (40.0,) * T},
-        renewable={"b1": (100.0,) * T},
-        spill_max={"b1": (100.0,) * T},
-        c_rs=50.0, phi_d=0.0, phi_r=0.0,
-    )
-    tech = StorageTech(c_p=1.0, c_e=1.0, rho_min=0.05, rho_max=4.0,
-                       eta_ch=eta, eta_dis=eta)
-    return Instance("neglmp", net, [day], tech)
+    return _bundled("neglmp")
 
 
 _N_HOURS = 24   # hours in a day of a random instance

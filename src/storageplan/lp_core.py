@@ -26,12 +26,12 @@ fixed: a re-solve patches only the costs and column bounds that changed
 and runs again from the model's own basis and factorization, and an
 LP's first load starts from the basis of an earlier LP of the same
 shape; every LP runs the retry ladder of :func:`solve`.  A planning
-call so holds one model per typical day and one marginal-unit model,
-which every empty candidate bus re-costs in turn.  Starts change only
-the simplex path, never the model, so the optimum is the same up to the
-choice among degenerate optimal vertices.  HiGHS is deterministic for
-identical input and start, so repeated solves return bit-identical
-solutions.
+call so holds one model per typical day and one marginal-unit model
+per list of days (its name names them), which every empty candidate
+bus re-costs in turn.  Starts change only the simplex path, never the
+model, so the optimum is the same up to the choice among degenerate
+optimal vertices.  HiGHS is deterministic for identical input and
+start, so repeated solves return bit-identical solutions.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ _RUN_OPTIONS = {
 
 
 class LPError(Exception):
-    """Malformed linear program."""
+    """A malformed linear program, or one that does not end optimal
+    where its caller needs an optimum."""
 
 
 @dataclass
@@ -284,9 +285,9 @@ def _patch(highs: _Highs, old: ArrayLP, lp: ArrayLP):
         highs.changeColsBounds(cols.size, cols, lp.lb[cols], lp.ub[cols])
 
 
-def held(starts: dict, name: str) -> ArrayLP | None:
+def held(starts: dict | None, name: str) -> ArrayLP | None:
     """The LP last solved under ``name`` in the store ``starts``, if any."""
-    hold = starts.get(name)
+    hold = None if starts is None else starts.get(name)
     return None if hold is None else hold.lp
 
 

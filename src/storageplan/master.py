@@ -31,10 +31,6 @@ from .model import StorageTech, snapped
 from .subgradient import Cut
 
 
-class MasterError(Exception):
-    pass
-
-
 @dataclass
 class MasterState:
     candidate_buses: list[str]
@@ -128,13 +124,14 @@ def solve_master(state: MasterState) -> tuple[np.ndarray, float]:
     ratio rows, shaded towards zero and snapped (:func:`_shaded`), and
     the lower bound.  A cut model that HiGHS's dual simplex cannot
     finish is solved again by interior point, as every LP is (see
-    :func:`lp_core.solve`)."""
+    :func:`lp_core.solve`); one that does not end optimal is an
+    :class:`~storageplan.lp_core.LPError`."""
     if not state.cuts:
-        raise MasterError("master requires at least one cut")
+        raise ValueError("master requires at least one cut")
     lp = _build_master(state)
     sol = lp_core.solve(lp)
     if sol.status != "optimal":
-        raise MasterError(f"master solve returned {sol.status}")
+        raise lp_core.LPError(f"master solve returned {sol.status}")
     # shading towards zero keeps the ratio rows, lowers the capital cost
     # and moves the grid off a kink at the vertex to its low-storage side
     return _shaded(sol.x[lp.cols["rating"]], state.tech), sol.objective

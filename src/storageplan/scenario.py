@@ -51,6 +51,9 @@ def load_profiles(text: str, path: str = "<profiles>") -> ProfileSet:
                 raise ParseError(path, lineno,
                                  "header must start with 'hour'")
             header = toks[1:]
+            if not header:
+                raise ParseError(path, lineno, "header names no "
+                                 "<bus>:demand or <bus>:renewable column")
             for k, col in enumerate(header):
                 parts = col.split(":")
                 if len(parts) != 2 or parts[1] not in ("demand", "renewable"):

@@ -11,7 +11,9 @@ a marginal unit is found with a price-taker profit-maximization LP for a
 is then projected onto the two rating coordinates
 (:func:`split_subgradient`).  The LP's rows do not depend on the bus,
 only its costs do, so a planning call holds one marginal-unit LP loaded
-in HiGHS and re-costs it bus by bus (:func:`solve_sgsp`).  A cut
+in HiGHS, named by its list of days, and re-costs it bus by bus
+(:func:`solve_sgsp`); an LP that does not end optimal is an
+:class:`~storageplan.lp_core.LPError`.  A cut
 sampled at ratings ``point`` is the row
 ``z >= sampled_cost + sum(g * (pe - point))`` over that grid.
 """
@@ -61,7 +63,10 @@ def rating_subgradients(net: Network, days: list[TypicalDay],
     return g
 
 
-_NAME = "sgsp"   # the store key of the one marginal-unit LP of every bus
+def _name(days: list[TypicalDay]) -> str:
+    """The store key of the one marginal-unit LP of every bus over
+    ``days``: their ids and hours, in order."""
+    return "sgsp[" + ",".join(f"{d.day_id}:{d.n_hours}" for d in days) + "]"
 
 
 def _sgsp_costs(days: list[TypicalDay], prices: dict[str, DispatchSolution],
@@ -93,27 +98,19 @@ def build_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
     at the current iteration's duals; they enter the objective only.
     The optimal objective is the net daily cost of the unit excluding
     the energy-capital constant ``c_e``.  Only the costs depend on
-    ``bus``; ``rows`` names each day's storage rows by its day id.
+    ``bus``.
     """
-    lp = LPBuilder(name=_NAME)
+    lp = LPBuilder(name=_name(days))
     rho, energy = lp.add_cols(2)
     lp.lb[rho] = tech.rho_min
     lp.ub[rho] = tech.rho_max
     lp.lb[energy] = lp.ub[energy] = 1.0
     for day in days:
         x = lp.add_cols((day.n_hours, 1, 5))
-        r = lp.rows[day.day_id] = lp.add_rows(x.shape)
-        add_storage_block(lp, x, r, tech, rho, energy)
+        add_storage_block(lp, x, lp.add_rows(x.shape), tech, rho, energy)
     lp.c = _sgsp_costs(days, prices, tech, bus)
     lp.cols = {"rho": rho}
     return lp.build()
-
-
-def _built_for(lp: lp_core.ArrayLP, days: list[TypicalDay]) -> bool:
-    """Whether the marginal-unit LP ``lp`` holds one storage block per
-    day of ``days``, in order, each of the day's hours."""
-    return ([(d, r.shape[0]) for d, r in lp.rows.items()]
-            == [(day.day_id, day.n_hours) for day in days])
 
 
 def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
@@ -121,21 +118,17 @@ def solve_sgsp(days: list[TypicalDay], prices: dict[str, DispatchSolution],
                ) -> tuple[float, float]:
     """Return (g0, rho0): marginal-unit net daily cost and its P/E ratio.
 
-    ``starts`` is the store of :func:`lp_core.solve` (a fresh one when
-    none is given).  It holds one marginal-unit LP for every bus: the LP
-    held there is re-costed with ``bus``'s prices and HiGHS re-solves it
-    from the last bus's basis.  A held LP built for another day list is
-    rebuilt, not patched."""
-    if starts is None:
-        starts = {}
-    lp = lp_core.held(starts, _NAME)
-    if lp is None or not _built_for(lp, days):
-        lp = build_sgsp(days, prices, tech, bus)
-    else:
-        lp = replace(lp, c=_sgsp_costs(days, prices, tech, bus))
+    ``starts`` is the store of :func:`lp_core.solve`, if any (none holds
+    nothing).  It holds one marginal-unit LP for every bus over
+    ``days``: the LP held there is re-costed with ``bus``'s prices and
+    HiGHS re-solves it from the last bus's basis.  Another day list has
+    its own LP."""
+    lp = lp_core.held(starts, _name(days))
+    lp = (build_sgsp(days, prices, tech, bus) if lp is None
+          else replace(lp, c=_sgsp_costs(days, prices, tech, bus)))
     sol = lp_core.solve(lp, starts)
     if sol.status != "optimal":
-        raise RuntimeError(f"marginal-unit LP {sol.status} at bus {bus}")
+        raise lp_core.LPError(f"marginal-unit LP {sol.status} at bus {bus}")
     return sol.objective + tech.c_e, float(sol.x[lp.cols["rho"]])
 
 

@@ -146,6 +146,23 @@ class TestPlanCommand:
         assert run(["plan", "--help"]) == 0
         assert "--workers" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["master", "sgsp"])
+    def test_lp_not_optimal_exit_code(self, m2_files, capsys, monkeypatch,
+                                      kind):
+        """A master or marginal-unit LP that ends unbounded is an LP
+        error (exit 2), as for every other LP."""
+        real = lp_core.solve
+
+        def solve(lp, starts=None):
+            if lp.name.startswith(kind):
+                return lp_core.LPSolution("unbounded", "Unbounded", 0)
+            return real(lp, starts)
+
+        monkeypatch.setattr(lp_core, "solve", solve)
+        assert run(base_args("plan", m2_files)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unbounded" in err
+
     def test_invalid_network_rejected(self, m2_files, capsys):
         text = m2_files["network"].read_text().replace("g1 b1", "g1 b9")
         m2_files["network"].write_text(text)
@@ -193,6 +210,26 @@ class TestEvaluateCommand:
             ["--plan", str(m2_files["plan"])]
         assert run(args) == 3
         assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "dispatch"])
+class TestPlanFile:
+    """A plan that does not fit the case is reported at its file."""
+
+    def check(self, m2_files, capsys, cmd, row, message):
+        m2_files["plan"].write_text(row + "\n")
+        args = base_args(cmd, m2_files) + ["--plan", str(m2_files["plan"])]
+        assert run(args) == 1
+        assert f"error: {m2_files['plan']}:0: {message}" \
+            in capsys.readouterr().err
+
+    def test_bus_not_a_candidate(self, m2_files, capsys, cmd):
+        self.check(m2_files, capsys, cmd, "b9 1 1",
+                   "plan bus b9 is not a storage candidate")
+
+    def test_ratio_outside_bounds(self, m2_files, capsys, cmd):
+        self.check(m2_files, capsys, cmd, "b1 50 1",
+                   "bus b1: power/energy ratio 50 outside [0.1, 4.0]")
 
 
 class TestOracleCommand:
@@ -297,6 +334,14 @@ class TestClusterCommand:
         assert len(days) == 2
         assert sum(d.weight for d in days) == 4
 
+    def test_header_without_data_column(self, tmp_path, capsys):
+        path = tmp_path / "profiles.txt"
+        path.write_text("hour\n" + "".join(f"{h}\n" for h in range(24)))
+        assert run(["cluster", "--profiles", path, "--clusters", "1",
+                    "--out-dir", tmp_path]) == 1
+        assert f"error: {path}:1: header names no " \
+            in capsys.readouterr().err
+
     def test_bad_cluster_count(self, tmp_path, capsys):
         path = self._profiles(tmp_path)
         assert run(["cluster", "--profiles", path, "--clusters", "9",
@@ -322,6 +367,12 @@ class TestBenchCommand:
 
     def test_bad_sizes(self, tmp_path, capsys):
         assert run(["bench", "--sizes", "0", "--out-dir", tmp_path]) == 1
+
+    def test_negative_seed(self, tmp_path, capsys):
+        assert run(["bench", "--seed", "-1", "--sizes", "1",
+                    "--out-dir", tmp_path]) == 1
+        assert "error: bench seed must be nonnegative" \
+            in capsys.readouterr().err
 
     def test_zero_epsilon(self, tmp_path, capsys):
         assert run(["bench", "--sizes", "1", "--epsilon", "0",

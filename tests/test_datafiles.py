@@ -211,10 +211,3 @@ class TestBundledData:
             tech = parse_tech(root.joinpath("tech.txt").read_text())
             assert validate_network(net, days).ok
             assert tech.eta_ch > 0
-
-    def test_bundled_examples_match_builders(self):
-        from importlib import resources
-        root = resources.files("storageplan").joinpath("data/examples/m2")
-        assert parse_network(root.joinpath("network.txt").read_text()) \
-            == m2().net
-        assert parse_days(root.joinpath("days.txt").read_text()) == m2().days

@@ -542,8 +542,9 @@ def _assert_loaded_once(days, names, loads, stores):
     """One planning call loaded one model per day and one marginal-unit
     model, which the empty buses shared, and its one store holds those
     ``len(days) + 1`` models; every other solve re-used a model."""
-    models = sorted([f"ed[{d.day_id}]" for d in days] + ["sgsp"])
-    assert names.count("sgsp") > 1
+    sgsp = subgradient._name(days)
+    models = sorted([f"ed[{d.day_id}]" for d in days] + [sgsp])
+    assert names.count(sgsp) > 1
     assert sorted(set(names) - {"master"}) == models
     held = [n for n in loads if n != "master"]
     assert sorted(held) == models

@@ -6,7 +6,7 @@ import pytest
 
 from storageplan import lp_core
 from storageplan.instances import simple_tech
-from storageplan.master import (MasterError, MasterState, convergence_check,
+from storageplan.master import (MasterState, convergence_check,
                                 level_point, solve_master)
 from storageplan.model import Plan, snapped
 from storageplan.subgradient import Cut
@@ -48,7 +48,7 @@ class TestSingleCut:
         assert z == pytest.approx(2100.0 - 19.0 * 20.0)
 
     def test_requires_cuts(self):
-        with pytest.raises(MasterError):
+        with pytest.raises(ValueError, match="at least one cut"):
             solve_master(fresh_state())
 
 

@@ -35,6 +35,8 @@ class TestLoadProfiles:
             load_profiles("time b1:demand\n0 5\n")
         with pytest.raises(ProfileError, match="bad column"):
             load_profiles("hour b1:load\n0 5\n")
+        with pytest.raises(ProfileError, match="p.txt:2: header names no "):
+            load_profiles("# c\nhour\n0\n", "p.txt")
 
     def test_duplicate_column_reported_at_header_line(self):
         text = "# profiles\n\nhour b1:demand b1:demand\n0 5 6\n"

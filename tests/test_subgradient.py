@@ -107,10 +107,10 @@ class TestMarginalUnit:
         assert len(res.iterations) > 1
         assert len(set(buses)) > 1 and len(buses) > len(set(buses))
 
-    def test_held_lp_of_another_day_list_is_rebuilt(self, rand_instance):
+    def test_each_day_list_has_its_own_held_lp(self, rand_instance):
         """One store given all days and then fewer (or the reverse)
-        rebuilds the held marginal-unit LP for the new day list, and
-        each solve equals a solve from a fresh store."""
+        holds one marginal-unit LP per day list, and each solve equals
+        a solve from a fresh store."""
         inst = rand_instance(1, n_buses=10, n_days=3)
         sols = dispatch_map(inst, Plan())
         bus = inst.net.candidate_buses[-1]
@@ -120,8 +120,9 @@ class TestMarginalUnit:
             for days in lists:
                 got = solve_sgsp(days, sols, inst.tech, bus, starts)
                 assert got == solve_sgsp(days, sols, inst.tech, bus)
-                assert list(starts["sgsp"].lp.rows) \
-                    == [d.day_id for d in days]
+            assert [starts[subgradient._name(days)].lp.n_vars
+                    for days in lists] \
+                == [2 + 5 * sum(d.n_hours for d in days) for days in lists]
 
 class TestInstalledBranch:
     def test_directional_slope_at_interior_point(self, m2):
