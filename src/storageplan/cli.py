@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +29,7 @@ BUNDLED_TECHS = ("aa_caes", "libes")
 
 def _load_text(path: str) -> str:
     try:
-        return datafiles.read_file(path)
+        return Path(path).read_text()
     except OSError as exc:
         raise ParseError(path, 0, f"cannot read file: {exc.strerror}") from None
 
@@ -40,10 +41,11 @@ def _load_case(args):
         tech = datafiles.load_bundled_tech(args.tech)
     else:
         tech = datafiles.parse_tech(_load_text(args.tech), args.tech)
-    report = validate_network(net, days)
-    if not report.ok:
-        raise ParseError(args.network, 0,
-                         "; ".join(report.violations))
+    violations = validate_network(net, days).violations
+    for path, of_days in ((args.network, False), (args.days, True)):
+        mine = [v for v in violations if v.startswith("day ") == of_days]
+        if mine:
+            raise ParseError(path, 0, "; ".join(mine))
     return net, days, tech
 
 
@@ -232,6 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _show_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -239,7 +245,10 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help and 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", UserWarning)
+            warnings.showwarning = _show_warning
+            return args.fn(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -7,6 +7,7 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -37,6 +38,25 @@ def _num(tok: str, path, lineno) -> float:
     if math.isinf(val):
         raise ParseError(path, lineno, f"infinite value: {tok!r}")
     return val
+
+
+def _read_entry(entries: dict, line: str, path, lineno, what: str,
+                types: dict):
+    """Add the ``name = value`` ``line`` to ``entries``.  ``types`` maps
+    each known name to ``str``, ``float`` or ``int``; an ``int`` value
+    must be a whole number."""
+    toks = line.replace("=", " ").split()
+    if len(toks) != 2:
+        raise ParseError(path, lineno, f"expected '{what} = value': {line!r}")
+    key, tok = toks
+    if key not in types:
+        raise ParseError(path, lineno, f"unknown {what}: {line!r}")
+    if key in entries:
+        raise ParseError(path, lineno, f"repeated {what} {key!r}")
+    val = tok if types[key] is str else _num(tok, path, lineno)
+    if types[key] is int and not val.is_integer():
+        raise ParseError(path, lineno, f"{key} must be an integer: {tok!r}")
+    entries[key] = types[key](val)
 
 
 def parse_network(text: str, path: str = "<network>") -> Network:
@@ -91,69 +111,47 @@ def write_network(net: Network) -> str:
     return "\n".join(out) + "\n"
 
 
-_DAY_SCALARS = {"weight", "n_hours", "phi_d", "phi_r", "c_rs"}
+_DAY_TYPES = {"weight": float, "n_hours": int, "phi_d": float,
+              "phi_r": float, "c_rs": float}
 _DAY_PROFILES = ("demand", "renewable", "spill_max")
 
 
 def parse_days(text: str, path: str = "<days>") -> list[TypicalDay]:
-    days: list[TypicalDay] = []
-    current: dict | None = None
+    """Typical days; a day that names no weight or hour count has weight 1
+    and 24 hours, and :class:`TypicalDay` defaults the other attributes."""
+    blocks = []  # (day id, attributes, profiles) per [day ...] header
     section = None
-
-    def close():
-        nonlocal current
-        if current is None:
-            return
-        n_hours = int(current.get("n_hours", 24))
-        days.append(TypicalDay(
-            day_id=current["id"], weight=current.get("weight", 1.0),
-            n_hours=n_hours, demand=current["demand"],
-            renewable=current["renewable"], spill_max=current["spill_max"],
-            c_rs=current.get("c_rs", 0.0),
-            phi_d=current.get("phi_d", 0.03), phi_r=current.get("phi_r", 0.05),
-        ))
-        current = None
-
     for lineno, line in _logical_lines(text):
         if line.startswith("["):
             name = line.strip("[]").strip()
             if name.lower().startswith("day "):
-                close()
-                current = {"id": name[4:].strip(),
-                           "demand": {}, "renewable": {}, "spill_max": {}}
-                section = "scalars"
+                blocks.append((name[4:].strip(), {},
+                               {kind: {} for kind in _DAY_PROFILES}))
+                section = None
             elif name.lower() in _DAY_PROFILES:
-                if current is None:
+                if not blocks:
                     raise ParseError(path, lineno, f"[{name}] outside a day block")
                 section = name.lower()
             else:
                 raise ParseError(path, lineno, f"unknown section [{name}]")
             continue
-        if current is None:
+        if not blocks:
             raise ParseError(path, lineno, "data before the first [day ...] header")
-        if section == "scalars":
-            toks = line.replace("=", " ").split()
-            if len(toks) != 2 or toks[0] not in _DAY_SCALARS:
-                raise ParseError(path, lineno, f"bad day attribute: {line!r}")
-            key, val = toks[0], _num(toks[1], path, lineno)
-            if key in current:
-                raise ParseError(path, lineno,
-                                 f"repeated day attribute {key!r}")
-            if key == "n_hours" and not val.is_integer():
-                raise ParseError(path, lineno, f"n_hours must be an integer: "
-                                               f"{toks[1]!r}")
-            current[key] = val
+        _, attrs, profiles = blocks[-1]
+        if section is None:
+            _read_entry(attrs, line, path, lineno, "day attribute", _DAY_TYPES)
         else:
             toks = line.split()
             bus, vals = toks[0], [_num(t, path, lineno) for t in toks[1:]]
-            if bus in current[section]:
+            if bus in profiles[section]:
                 raise ParseError(path, lineno,
                                  f"repeated [{section}] row for bus {bus!r}")
-            current[section][bus] = tuple(vals)
-    close()
-    if not days:
+            profiles[section][bus] = tuple(vals)
+    if not blocks:
         raise ParseError(path, 1, "no days found")
-    return days
+    return [TypicalDay(day_id, **{"weight": 1.0, "n_hours": 24, **attrs},
+                       **profiles)
+            for day_id, attrs, profiles in blocks]
 
 
 def write_days(days: list[TypicalDay]) -> str:
@@ -178,26 +176,21 @@ def write_days(days: list[TypicalDay]) -> str:
 
 _TECH_FIELDS = ("c_p", "c_e", "rho_min", "rho_max", "eta_ch", "eta_dis",
                 "c_dis", "c_ch", "c_eu", "c_ed", "t_es", "t_ru", "t_rd")
+_TECH_TYPES = {"name": str, **dict.fromkeys(_TECH_FIELDS, float)}
 
 
 def parse_tech(text: str, path: str = "<tech>") -> StorageTech:
     fields: dict = {}
     for lineno, line in _logical_lines(text):
-        toks = line.replace("=", " ").split()
-        if len(toks) != 2:
-            raise ParseError(path, lineno, f"expected 'field value': {line!r}")
-        key = toks[0]
-        if key in fields:
-            raise ParseError(path, lineno, f"repeated tech field {key!r}")
-        if key == "name":
-            fields[key] = toks[1]
-        elif key in _TECH_FIELDS:
-            fields[key] = _num(toks[1], path, lineno)
-        else:
-            raise ParseError(path, lineno, f"unknown tech field {key!r}")
+        _read_entry(fields, line, path, lineno, "tech field", _TECH_TYPES)
+    missing = [f.name for f in dataclasses.fields(StorageTech)
+               if f.default is dataclasses.MISSING and f.name not in fields]
+    if missing:
+        raise ParseError(path, 1,
+                         f"missing tech field(s): {', '.join(missing)}")
     try:
         return StorageTech(**fields)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
 
 
@@ -241,18 +234,10 @@ def parse_config(text: str, path: str = "<config>",
     """Run configuration: epsilon, chi, budget_max, budget_min, max_iter,
     max_outer, workers.  ``keys`` are the entries the caller reads; any
     other entry is unknown."""
+    types = {key: CONFIG_TYPES[key] for key in keys}
     out: dict = {}
     for lineno, line in _logical_lines(text):
-        toks = line.replace("=", " ").split()
-        if len(toks) != 2 or toks[0] not in keys:
-            raise ParseError(path, lineno, f"unknown config entry: {line!r}")
-        key, val = toks[0], _num(toks[1], path, lineno)
-        if key in out:
-            raise ParseError(path, lineno, f"repeated config entry {key!r}")
-        if CONFIG_TYPES[key] is int and not val.is_integer():
-            raise ParseError(path, lineno, f"{key} must be an integer: "
-                                           f"{toks[1]!r}")
-        out[key] = CONFIG_TYPES[key](val)
+        _read_entry(out, line, path, lineno, "config entry", types)
     return out
 
 
@@ -261,7 +246,3 @@ def load_bundled_tech(name: str) -> StorageTech:
     ref = resources.files("storageplan").joinpath(f"data/{name}.tech")
     return parse_tech(ref.read_text(), path=f"data/{name}.tech")
 
-
-def read_file(path) -> str:
-    with open(path) as fh:
-        return fh.read()

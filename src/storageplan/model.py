@@ -200,26 +200,24 @@ class ValidationReport:
 
 
 def validate_network(net: Network, days: list[TypicalDay]) -> ValidationReport:
-    """Collect all invariant violations of a network and its day profiles."""
+    """Collect all invariant violations of a network and its day profiles;
+    each violation of a day starts ``day <id>:``."""
     v: list[str] = [] if net.buses else ["network has no buses"]
-    seen = set()
-    for b in net.buses:
-        if b in seen:
-            v.append(f"bus {b}: duplicate id")
-        seen.add(b)
+    for kind, ids in (("bus", net.buses),
+                      ("candidate bus", net.candidate_buses),
+                      ("line", [ln.line_id for ln in net.lines]),
+                      ("generator", [g.gen_id for g in net.generators]),
+                      ("day", [day.day_id for day in days])):
+        seen = set()
+        for i in ids:
+            if i in seen:
+                v.append(f"{kind} {i}: duplicate id")
+            seen.add(i)
     bus_set = set(net.buses)
-    candidates = set()
     for b in net.candidate_buses:
-        if b in candidates:
-            v.append(f"candidate bus {b}: duplicate id")
-        candidates.add(b)
         if b not in bus_set:
             v.append(f"candidate bus {b}: not a network bus")
-    line_ids = set()
     for ln in net.lines:
-        if ln.line_id in line_ids:
-            v.append(f"line {ln.line_id}: duplicate id")
-        line_ids.add(ln.line_id)
         for end in (ln.from_bus, ln.to_bus):
             if end not in bus_set:
                 v.append(f"line {ln.line_id}: unknown bus {end}")
@@ -227,22 +225,14 @@ def validate_network(net: Network, days: list[TypicalDay]) -> ValidationReport:
             v.append(f"line {ln.line_id}: reactance must be positive")
         if ln.capacity <= 0:
             v.append(f"line {ln.line_id}: capacity must be positive")
-    gen_ids = set()
     for g in net.generators:
-        if g.gen_id in gen_ids:
-            v.append(f"generator {g.gen_id}: duplicate id")
-        gen_ids.add(g.gen_id)
         if g.bus not in bus_set:
             v.append(f"generator {g.gen_id}: unknown bus {g.bus}")
         if g.g_min > g.g_max:
             v.append(f"generator {g.gen_id}: g_min exceeds g_max")
         if g.ramp_up < 0 or g.ramp_down < 0:
             v.append(f"generator {g.gen_id}: negative ramp limit")
-    day_ids = set()
     for day in days:
-        if day.day_id in day_ids:
-            v.append(f"day {day.day_id}: duplicate id")
-        day_ids.add(day.day_id)
         if day.weight < 0:
             v.append(f"day {day.day_id}: negative weight")
         if day.n_hours < 1:

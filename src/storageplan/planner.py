@@ -140,7 +140,6 @@ def evaluate_plan(net: Network, days: list[TypicalDay], tech: StorageTech,
                   plan: Plan, workers: int = 1) -> PlanResult:
     """Dispatch all days at a fixed plan, then at the zero plan for the
     baseline by re-rating the day LPs held from the first pass."""
-    plan.check_ratio_bounds(tech)
     t0 = time.perf_counter()
     starts: dict = {}
     sols = dispatch_all(net, days, plan, tech, workers, starts)

@@ -109,6 +109,13 @@ class TestPlanCommand:
         assert "chi must be a number, got nan" in err
         assert "budget" not in err
 
+    def test_vacuous_chi_warns_on_one_line(self, m2_files, capsys):
+        """A library warning is one ``warning:`` line on stderr, not a
+        source location and line, and the plan still runs."""
+        assert run(base_args("plan", m2_files, chi="0.5")) == 0
+        assert capsys.readouterr().err == (
+            "warning: rate of return 0.5 below 1 is vacuous; clamping to 1\n")
+
     def test_negative_ramp_window(self, m2_files, capsys):
         tech = m2_files["tech"]
         tech.write_text(tech.read_text().replace("t_ru = 1.0", "t_ru = -1.0"))
@@ -264,6 +271,15 @@ class TestOracleCommand:
         assert run(args) == 3
         assert "error: dispatch infeasible on day d1 (hour 2)" \
             in capsys.readouterr().err
+
+    def test_day_violation_reported_at_days_file(self, m2_files, capsys):
+        days = m2_files["days"]
+        days.write_text(days.read_text().replace("weight = 1.0",
+                                                 "weight = -1"))
+        assert run(base_args("oracle", m2_files)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {days}:0: day d1: negative weight" in err
+        assert str(m2_files["network"]) not in err
 
     def test_config_entry_it_does_not_read(self, m2_files, capsys):
         """The oracle reads only budget_max from a config: a workers

@@ -75,7 +75,7 @@ class TestDaysRoundTrip:
             parse_days("[day d1]\n[junk]\n")
         with pytest.raises(ParseError, match="outside a day"):
             parse_days("[demand]\nb1 1 2\n")
-        with pytest.raises(ParseError, match="bad day attribute"):
+        with pytest.raises(ParseError, match="unknown day attribute"):
             parse_days("[day d1]\ncolor = blue\n")
 
     def test_fractional_hours_rejected(self):
@@ -114,6 +114,14 @@ class TestTechRoundTrip:
         with pytest.raises(ParseError, match="rho"):
             parse_tech("c_p = 1\nc_e = 1\nrho_min = 2\nrho_max = 1\n"
                        "eta_ch = 0.9\neta_dis = 0.9\n")
+        with pytest.raises(ParseError, match="x.tech:1: missing tech "
+                           "field\\(s\\): c_e, rho_min, rho_max, eta_ch, "
+                           "eta_dis$"):
+            parse_tech("c_p = 1\nc_dis = 2\n", "x.tech")
+        with pytest.raises(ParseError, match="x.tech:1: missing tech "
+                           "field\\(s\\): c_p, c_e, rho_min, rho_max, "
+                           "eta_ch, eta_dis$"):
+            parse_tech("# no fields\n", "x.tech")
 
     @pytest.mark.parametrize("key", ["c_p", "name"])
     def test_repeated_field_rejected(self, key):
@@ -123,6 +131,24 @@ class TestTechRoundTrip:
         with pytest.raises(ParseError, match=f"x.tech:{n}: repeated tech "
                                              f"field '{key}'"):
             parse_tech(text + line + "\n", "x.tech")
+
+
+@pytest.mark.parametrize("parse, head, malformed, unknown, what", [
+    (parse_config, "", "epsilon 0.1 0.2", "seed = 7", "config entry"),
+    (parse_days, "[day d1]\n", "weight 1 2", "color = blue",
+     "day attribute"),
+    (parse_tech, "", "c_p 1 2", "c_x = 1", "tech field"),
+], ids=["config", "days", "tech"])
+def test_name_value_lines(parse, head, malformed, unknown, what):
+    """Config entries, day attributes and tech fields are read as
+    ``name = value`` lines, and each fault is worded the same in all
+    three files."""
+    n = head.count("\n") + 2
+    for line, message in ((malformed, f"expected '{what} = value'"),
+                          (unknown, f"unknown {what}")):
+        with pytest.raises(ParseError) as err:
+            parse(f"{head}# comment\n{line}\n", "f.txt")
+        assert str(err.value) == f"f.txt:{n}: {message}: {line!r}"
 
 
 class TestPlanRoundTrip:
