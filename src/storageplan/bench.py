@@ -19,10 +19,15 @@ class BenchRow:
 
 
 _N_BUSES = 10   # buses of the benchmark network
+SIZES = (1, 3, 5, 10)   # day counts benchmarked by default
 
 
-def scaling_benchmark(seed: int = 0, sizes: tuple[int, ...] = (1, 3, 5, 10),
+def scaling_benchmark(seed: int = 0, sizes: tuple[int, ...] = SIZES,
                       epsilon: float = 0.05) -> list[BenchRow]:
+    if min(sizes) < 1:
+        raise ValueError("bench sizes must be positive")
+    if seed < 0:
+        raise ValueError("bench seed must be nonnegative")
     base = instances.random_instance(seed, n_buses=_N_BUSES,
                                      n_days=max(sizes))
     rows = []

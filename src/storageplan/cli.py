@@ -60,7 +60,9 @@ def _load_plan(args, net, tech) -> Plan:
 
 
 def _load_config(args, keys) -> dict:
-    """The ``--config`` entries in ``keys``, overridden by options."""
+    """The ``--config`` entries in ``keys``, overridden by options.  It
+    holds only what the user gave, so a library call forwarded it keeps
+    its own defaults for the rest."""
     cfg = {}
     if getattr(args, "config", None):
         cfg = datafiles.parse_config(_load_text(args.config), args.config,
@@ -76,25 +78,26 @@ def _load_config(args, keys) -> dict:
 
 def _write(out_dir: str, name: str, body: str, stamp: bool = True):
     path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
     ts = datetime.now(timezone.utc).isoformat(timespec="seconds")
     head = f"# generated {ts}\n" if stamp else ""
-    (path / name).write_text(head + body)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        (path / name).write_text(head + body)
+    except OSError as exc:
+        raise ParseError(out_dir, 0,
+                         f"cannot write {name}: {exc.strerror}") from None
     return path / name
 
 
 def cmd_plan(args) -> int:
     net, days, tech = _load_case(args)
     cfg = _load_config(args, datafiles.CONFIG_TYPES)
-    result = planner.outer_loop(
-        net, days, tech, chi=cfg.get("chi", 1.0),
-        budget_init=cfg.get("budget_max"),
-        budget_min=cfg.get("budget_min"),
-        epsilon=cfg.get("epsilon", 0.05), max_outer=cfg.get("max_outer", 20),
-        max_iter=cfg.get("max_iter", 150), workers=cfg.get("workers", 1),
-    )
+    if "budget_max" in cfg:
+        cfg["budget_init"] = cfg.pop("budget_max")
+    result = planner.outer_loop(net, days, tech, **cfg)
     _write(args.out_dir, "report.txt", planner.format_report(result))
     _write(args.out_dir, "trace.txt", planner.format_trace(result))
+    _write(args.out_dir, "plan.txt", datafiles.write_plan(result.plan))
     print(planner.format_report(result), end="")
     if result.return_unachievable:
         print("required rate of return is unachievable; no storage built")
@@ -110,8 +113,7 @@ def cmd_evaluate(args) -> int:
     net, days, tech = _load_case(args)
     plan = _load_plan(args, net, tech)
     cfg = _load_config(args, {"workers"})
-    result = planner.evaluate_plan(net, days, tech, plan,
-                                   workers=cfg.get("workers", 1))
+    result = planner.evaluate_plan(net, days, tech, plan, **cfg)
     _write(args.out_dir, "report.txt", planner.format_report(result))
     print(planner.format_report(result), end="")
     return EXIT_OK
@@ -139,13 +141,12 @@ def cmd_dispatch(args) -> int:
     net, days, tech = _load_case(args)
     plan = _load_plan(args, net, tech) if args.plan else Plan()
     cfg = _load_config(args, {"workers"})
-    sols = planner.dispatch_all(net, days, plan, tech,
-                                workers=cfg.get("workers", 1))
+    sols = planner.dispatch_all(net, days, plan, tech, **cfg)
     dtab = "".join(export_dispatch_table(s, net) for s in sols.values())
     ptab = "".join(export_price_table(s) for s in sols.values())
     _write(args.out_dir, "dispatch.txt", dtab)
     _write(args.out_dir, "prices.txt", ptab)
-    cost = sum(day.weight * sols[day.day_id].cost for day in days)
+    cost = planner._weighted_cost(days, sols, 0.0)
     print(f"weighted_operating_cost = {cost:.6f}")
     return EXIT_OK
 
@@ -163,13 +164,9 @@ def cmd_cluster(args) -> int:
 
 def cmd_bench(args) -> int:
     """Decomposition vs monolithic runtimes over growing day counts."""
-    sizes = tuple(args.sizes or (1, 3, 5, 10))
-    if any(s < 1 for s in sizes):
-        raise ValueError("bench sizes must be positive")
-    if args.seed < 0:
-        raise ValueError("bench seed must be nonnegative")
-    epsilon = 0.05 if args.epsilon is None else args.epsilon
-    rows = bench.scaling_benchmark(args.seed, sizes, epsilon)
+    given = {key: getattr(args, key) for key in ("seed", "sizes", "epsilon")
+             if getattr(args, key) is not None}
+    rows = bench.scaling_benchmark(**given)
     text = bench.format_bench(rows)
     print(text, end="")
     _write(args.out_dir, "bench.txt", text)
@@ -224,10 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("bench", help="scaling benchmark on a seeded instance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--sizes", type=int, nargs="+",
-                   help="day counts to benchmark (default 1 3 5 10)")
+                   help="day counts to benchmark (default "
+                        f"{' '.join(map(str, bench.SIZES))})")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(fn=cmd_bench)
 

@@ -171,8 +171,7 @@ def random_instance(seed: int, n_buses: int | None = None,
         days.append(TypicalDay(
             day_id=f"d{d + 1}", weight=float(rng.integers(1, 5)),
             n_hours=_N_HOURS, demand=demand, renewable=renewable,
-            spill_max=dict(renewable), c_rs=0.0, phi_d=0.03, phi_r=0.05,
-        ))
+            spill_max=dict(renewable)))
 
     eta = float(np.sqrt(0.9))
     tech = StorageTech(

@@ -285,7 +285,7 @@ def default_budget_min(tech: StorageTech) -> float:
 
 
 def outer_loop(net: Network, days: list[TypicalDay], tech: StorageTech,
-               chi: float, budget_init: float | None = None,
+               chi: float = 1.0, budget_init: float | None = None,
                budget_min: float | None = None, epsilon: float = 0.05,
                max_outer: int = 20, max_iter: int = 150,
                workers: int = 1) -> PlanResult:

@@ -17,9 +17,6 @@ from scipy.cluster.hierarchy import fcluster, ward
 from .datafiles import ParseError, _logical_lines
 from .model import TypicalDay
 
-# profile tables report their errors like every other input file
-ProfileError = ParseError
-
 _N_HOURS = 24   # hours in a day block of a profile table
 
 
@@ -121,15 +118,14 @@ def _feature_matrix(profiles: ProfileSet) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def cluster_days(profiles: ProfileSet, k: int, c_rs: float = 0.0,
-                 phi_d: float = 0.03, phi_r: float = 0.05
-                 ) -> list[TypicalDay]:
+def cluster_days(profiles: ProfileSet, k: int) -> list[TypicalDay]:
     """Reduce the source days to ``k`` weighted medoid days.
 
     The medoid of each cluster is the member closest to the cluster
     centroid in feature space, ties broken towards the lowest source day
     index.  Renewable curtailment is allowed up to the full renewable
-    profile of the chosen day.
+    profile of the chosen day; the reserve cost and requirements are
+    :class:`~.model.TypicalDay`'s defaults.
     """
     if not (1 <= k <= profiles.n_days):
         raise ValueError(
@@ -154,7 +150,6 @@ def cluster_days(profiles: ProfileSet, k: int, c_rs: float = 0.0,
         days.append(TypicalDay(
             day_id=f"d{medoid + 1}", weight=float(len(members)),
             n_hours=profiles.n_hours, demand=demand, renewable=renewable,
-            spill_max=dict(renewable), c_rs=c_rs, phi_d=phi_d, phi_r=phi_r,
-        ))
+            spill_max=dict(renewable)))
     days.sort(key=lambda d: int(d.day_id[1:]))
     return days

@@ -1,6 +1,6 @@
 import pytest
 
-from storageplan import cli, datafiles, lp_core
+from storageplan import cli, datafiles, lp_core, planner
 from storageplan.instances import m2
 from storageplan.model import Generator, Network, Plan, TypicalDay
 
@@ -42,6 +42,17 @@ class TestPlanCommand:
         assert "unachievable; no storage built" not in out
         assert (m2_files["out"] / "report.txt").exists()
         assert (m2_files["out"] / "trace.txt").exists()
+        assert (m2_files["out"] / "plan.txt").exists()
+
+    def test_out_dir_that_cannot_be_written(self, m2_files, capsys):
+        """An unwritable ``--out-dir`` is one located error line, not a
+        traceback after the solve."""
+        m2_files["out"].write_text("a file, not a directory\n")
+        assert run(base_args("plan", m2_files)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {m2_files['out']}:0: cannot write report.txt: ")
+        assert err.count("\n") == 1
 
     def test_reports_reproducible_modulo_timestamp(self, m2_files):
         assert run(base_args("plan", m2_files)) == 0
@@ -217,6 +228,51 @@ class TestEvaluateCommand:
             ["--plan", str(m2_files["plan"])]
         assert run(args) == 3
         assert "infeasible" in capsys.readouterr().err
+
+
+def _entry(report: str, name: str) -> float:
+    """The value of ``name = value`` in a report."""
+    prefix = f"{name} = "
+    return float(next(line[len(prefix):] for line in report.splitlines()
+                      if line.startswith(prefix)))
+
+
+class TestPlanFileRoundTrip:
+    """``plan`` writes the plan that ``evaluate --plan`` and ``dispatch
+    --plan`` read back bit for bit."""
+
+    def test_evaluate_reads_the_planned_ratings(self, m2_files, capsys):
+        assert run(base_args("plan", m2_files)) == 0
+        planned = capsys.readouterr().out
+        plan_file = m2_files["out"] / "plan.txt"
+        net = datafiles.parse_network(m2_files["network"].read_text())
+        days = datafiles.parse_days(m2_files["days"].read_text())
+        tech = datafiles.parse_tech(m2_files["tech"].read_text())
+        result = planner.outer_loop(net, days, tech)
+        plan = datafiles.parse_plan(plan_file.read_text())
+        assert plan.ratings and plan.ratings == result.plan.ratings
+        assert planner.evaluate_plan(net, days, tech, plan).system_cost \
+            == pytest.approx(result.system_cost, rel=1e-9, abs=0)
+        args = base_args("evaluate", m2_files) + ["--plan", plan_file]
+        assert run(args) == 0
+        evaluated = capsys.readouterr().out
+        assert _entry(evaluated, "system_cost") == pytest.approx(
+            _entry(planned, "system_cost"), rel=1e-9, abs=0)
+        args = base_args("dispatch", m2_files) + ["--plan", plan_file]
+        assert run(args) == 0
+
+    def test_unachievable_return_writes_the_zero_plan(self, m2_files,
+                                                      capsys):
+        assert run(base_args("plan", m2_files, chi="50")) == 0
+        capsys.readouterr()
+        plan_file = m2_files["out"] / "plan.txt"
+        assert datafiles.parse_plan(plan_file.read_text()).ratings == {}
+        args = base_args("evaluate", m2_files) + ["--plan", plan_file]
+        assert run(args) == 0
+        out = capsys.readouterr().out
+        assert "[plan]\n[day_costs]" in out
+        assert _entry(out, "investment_cost") == 0
+        assert _entry(out, "system_cost") == _entry(out, "baseline_cost")
 
 
 @pytest.mark.parametrize("cmd", ["evaluate", "dispatch"])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from storageplan.scenario import ProfileError, cluster_days, load_profiles
+from storageplan.datafiles import ParseError
+from storageplan.model import TypicalDay
+from storageplan.scenario import cluster_days, load_profiles
 
 
 def make_text(n_days, shapes, n_hours=24):
@@ -31,47 +33,47 @@ class TestLoadProfiles:
         assert ps.buses == ["b1"]
 
     def test_bad_header(self):
-        with pytest.raises(ProfileError, match="header"):
+        with pytest.raises(ParseError, match="header"):
             load_profiles("time b1:demand\n0 5\n")
-        with pytest.raises(ProfileError, match="bad column"):
+        with pytest.raises(ParseError, match="bad column"):
             load_profiles("hour b1:load\n0 5\n")
-        with pytest.raises(ProfileError, match="p.txt:2: header names no "):
+        with pytest.raises(ParseError, match="p.txt:2: header names no "):
             load_profiles("# c\nhour\n0\n", "p.txt")
 
     def test_duplicate_column_reported_at_header_line(self):
         text = "# profiles\n\nhour b1:demand b1:demand\n0 5 6\n"
-        with pytest.raises(ProfileError,
+        with pytest.raises(ParseError,
                            match="p.txt:3: duplicate column b1:demand"):
             load_profiles(text, "p.txt")
 
     def test_wrong_column_count(self):
-        with pytest.raises(ProfileError, match="columns"):
+        with pytest.raises(ParseError, match="columns"):
             load_profiles("hour b1:demand\n0 5 6\n")
 
     def test_rejects_nan_and_negative(self):
         head = "hour b1:demand\n"
-        with pytest.raises(ProfileError, match="non-finite"):
+        with pytest.raises(ParseError, match="non-finite"):
             load_profiles(head + "0 nan\n")
-        with pytest.raises(ProfileError, match="negative"):
+        with pytest.raises(ParseError, match="negative"):
             load_profiles(head + "0 -3\n")
-        with pytest.raises(ProfileError, match="not a number"):
+        with pytest.raises(ParseError, match="not a number"):
             load_profiles(head + "0 abc\n")
 
     def test_partial_day_rejected(self):
         text = make_text(1, [0])
         text = "\n".join(text.splitlines()[:-2]) + "\n"
-        with pytest.raises(ProfileError, match="whole number"):
+        with pytest.raises(ParseError, match="whole number"):
             load_profiles(text)
 
     def test_partial_day_reported_at_last_data_line(self):
-        with pytest.raises(ProfileError,
+        with pytest.raises(ParseError,
                            match="p.txt:4: 1 rows is not a whole number"):
             load_profiles("# c\n\nhour b1:demand\n0 5\n", "p.txt")
 
     def test_empty(self):
-        with pytest.raises(ProfileError):
+        with pytest.raises(ParseError):
             load_profiles("")
-        with pytest.raises(ProfileError, match="no data rows"):
+        with pytest.raises(ParseError, match="no data rows"):
             load_profiles("hour b1:demand\n")
 
 
@@ -99,6 +101,9 @@ class TestClusterDays:
             assert day.renewable["b1"] == pytest.approx(
                 ps.renewable["b1"][idx])
             assert day.spill_max == day.renewable
+            # reserve cost and requirements are TypicalDay's defaults
+            assert (day.c_rs, day.phi_d, day.phi_r) == (
+                TypicalDay.c_rs, TypicalDay.phi_d, TypicalDay.phi_r)
 
     def test_k_equals_n(self):
         ps = load_profiles(make_text(4, [0, 1, 2, 0]))
@@ -112,10 +117,3 @@ class TestClusterDays:
             cluster_days(ps, 0)
         with pytest.raises(ValueError, match="cluster count"):
             cluster_days(ps, 4)
-
-    def test_regulation_parameters_forwarded(self):
-        ps = load_profiles(make_text(2, [0, 1]))
-        day = cluster_days(ps, 1, c_rs=7.0, phi_d=0.1, phi_r=0.2)[0]
-        assert day.c_rs == 7.0
-        assert day.phi_d == 0.1
-        assert day.phi_r == 0.2
