@@ -41,11 +41,10 @@ def _load_case(args):
         tech = datafiles.load_bundled_tech(args.tech)
     else:
         tech = datafiles.parse_tech(_load_text(args.tech), args.tech)
-    violations = validate_network(net, days).violations
-    for path, of_days in ((args.network, False), (args.days, True)):
-        mine = [v for v in violations if v.startswith("day ") == of_days]
-        if mine:
-            raise ParseError(path, 0, "; ".join(mine))
+    for path, checked_days in ((args.network, []), (args.days, days)):
+        violations = validate_network(net, checked_days).violations
+        if violations:
+            raise ParseError(path, 0, "; ".join(violations))
     return net, days, tech
 
 
@@ -59,21 +58,29 @@ def _load_plan(args, net, tech) -> Plan:
     return plan
 
 
+def _given(args, keys) -> dict:
+    """The options in ``keys`` that the user gave."""
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key, None) is not None}
+
+
 def _load_config(args, keys) -> dict:
     """The ``--config`` entries in ``keys``, overridden by options.  It
     holds only what the user gave, so a library call forwarded it keeps
     its own defaults for the rest."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         cfg = datafiles.parse_config(_load_text(args.config), args.config,
                                      keys)
-    for key in ("epsilon", "chi", "workers"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "budget", None) is not None:
-        cfg["budget_max"] = args.budget
-    return cfg
+    return {**cfg, **_given(args, keys)}
+
+
+def _make_out_dir(out_dir: str):
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(out_dir, 0, "cannot create output directory: "
+                         f"{exc.strerror}") from None
 
 
 def _write(out_dir: str, name: str, body: str, stamp: bool = True):
@@ -81,7 +88,6 @@ def _write(out_dir: str, name: str, body: str, stamp: bool = True):
     ts = datetime.now(timezone.utc).isoformat(timespec="seconds")
     head = f"# generated {ts}\n" if stamp else ""
     try:
-        path.mkdir(parents=True, exist_ok=True)
         (path / name).write_text(head + body)
     except OSError as exc:
         raise ParseError(out_dir, 0,
@@ -164,9 +170,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_bench(args) -> int:
     """Decomposition vs monolithic runtimes over growing day counts."""
-    given = {key: getattr(args, key) for key in ("seed", "sizes", "epsilon")
-             if getattr(args, key) is not None}
-    rows = bench.scaling_benchmark(**given)
+    rows = bench.scaling_benchmark(**_given(args, ("seed", "sizes", "epsilon")))
     text = bench.format_bench(rows)
     print(text, end="")
     _write(args.out_dir, "bench.txt", text)
@@ -194,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--chi", type=float)
-    p.add_argument("--budget", type=float)
+    p.add_argument("--budget", type=float, dest="budget_max", metavar="BUDGET")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("evaluate", help="dispatch a fixed plan")
@@ -205,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="solve the monolithic investment LP")
     _add_case_args(p)
-    p.add_argument("--budget", type=float)
+    p.add_argument("--budget", type=float, dest="budget_max", metavar="BUDGET")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("dispatch", help="export dispatch and price tables")
@@ -246,6 +250,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("default", UserWarning)
             warnings.showwarning = _show_warning
+            # before any input is read, so an unwritable one costs no solve
+            _make_out_dir(args.out_dir)
             return args.fn(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

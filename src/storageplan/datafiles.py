@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from importlib import resources
 
 from .model import Generator, Line, Network, Plan, StorageTech, TypicalDay
@@ -158,11 +159,7 @@ def write_days(days: list[TypicalDay]) -> str:
     out = []
     for day in days:
         out.append(f"[day {day.day_id}]")
-        out.append(f"weight = {day.weight!r}")
-        out.append(f"n_hours = {day.n_hours}")
-        out.append(f"phi_d = {day.phi_d!r}")
-        out.append(f"phi_r = {day.phi_r!r}")
-        out.append(f"c_rs = {day.c_rs!r}")
+        out.extend(f"{key} = {getattr(day, key)!r}" for key in _DAY_TYPES)
         for kind in _DAY_PROFILES:
             profiles = getattr(day, kind)
             if not profiles:
@@ -174,9 +171,8 @@ def write_days(days: list[TypicalDay]) -> str:
     return "\n".join(out) + "\n"
 
 
-_TECH_FIELDS = ("c_p", "c_e", "rho_min", "rho_max", "eta_ch", "eta_dis",
-                "c_dis", "c_ch", "c_eu", "c_ed", "t_es", "t_ru", "t_rd")
-_TECH_TYPES = {"name": str, **dict.fromkeys(_TECH_FIELDS, float)}
+_TECH_TYPES = typing.get_type_hints(StorageTech)
+_TECH_FIELDS = [key for key, typ in _TECH_TYPES.items() if typ is not str]
 
 
 def parse_tech(text: str, path: str = "<tech>") -> StorageTech:

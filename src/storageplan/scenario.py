@@ -8,13 +8,12 @@ cluster size, so the weights add up to the number of source days.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, ward
 
-from .datafiles import ParseError, _logical_lines
+from .datafiles import ParseError, _logical_lines, _num
 from .model import TypicalDay
 
 _N_HOURS = 24   # hours in a day block of a profile table
@@ -67,19 +66,10 @@ def load_profiles(text: str, path: str = "<profiles>") -> ProfileSet:
                              f"got {len(toks)}")
         vals = []
         for col, tok in zip(header, toks[1:]):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ParseError(path, lineno,
-                                 f"not a number in column {col}: {tok!r}"
-                                 ) from None
-            if not math.isfinite(v):
-                raise ParseError(path, lineno,
-                                 f"non-finite value in column {col}")
-            if v < 0:
+            vals.append(_num(tok, path, lineno))
+            if vals[-1] < 0:
                 raise ParseError(path, lineno,
                                  f"negative value in column {col}")
-            vals.append(v)
         rows.append(vals)
     if header is None:
         raise ParseError(path, 1, "empty profile file")

@@ -1,6 +1,6 @@
 import pytest
 
-from storageplan import cli, datafiles, lp_core, planner
+from storageplan import bench, cli, datafiles, lp_core, planner
 from storageplan.instances import m2
 from storageplan.model import Generator, Network, Plan, TypicalDay
 
@@ -25,6 +25,10 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("solved before the output directory was checked")
+
+
 def base_args(cmd, paths, **extra):
     args = [cmd, "--network", paths["network"], "--days", paths["days"],
             "--tech", paths["tech"], "--out-dir", paths["out"]]
@@ -44,14 +48,16 @@ class TestPlanCommand:
         assert (m2_files["out"] / "trace.txt").exists()
         assert (m2_files["out"] / "plan.txt").exists()
 
-    def test_out_dir_that_cannot_be_written(self, m2_files, capsys):
-        """An unwritable ``--out-dir`` is one located error line, not a
-        traceback after the solve."""
+    def test_out_dir_that_cannot_be_written(self, m2_files, capsys,
+                                            monkeypatch):
+        """An unwritable ``--out-dir`` is one located error line, found
+        before the solve."""
+        monkeypatch.setattr(planner, "outer_loop", _never_called)
         m2_files["out"].write_text("a file, not a directory\n")
         assert run(base_args("plan", m2_files)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(
-            f"error: {m2_files['out']}:0: cannot write report.txt: ")
+        assert err.startswith(f"error: {m2_files['out']}:0: "
+                              "cannot create output directory: ")
         assert err.count("\n") == 1
 
     def test_reports_reproducible_modulo_timestamp(self, m2_files):
@@ -436,6 +442,17 @@ class TestBenchCommand:
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(lines) == 2
         assert lines[0].startswith("1 ")
+
+    def test_out_dir_that_cannot_be_written(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(bench, "scaling_benchmark", _never_called)
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n")
+        assert run(["bench", "--sizes", "1", "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {out}:0: cannot create output directory: ")
+        assert err.count("\n") == 1
 
     def test_bad_sizes(self, tmp_path, capsys):
         assert run(["bench", "--sizes", "0", "--out-dir", tmp_path]) == 1

@@ -237,3 +237,18 @@ class TestBundledData:
             tech = parse_tech(root.joinpath("tech.txt").read_text())
             assert validate_network(net, days).ok
             assert tech.eta_ch > 0
+
+    @pytest.mark.parametrize("path, kind", [
+        *((f"examples/{case}/{kind}.txt", kind)
+          for case in ("m2", "neglmp")
+          for kind in ("network", "days", "tech")),
+        ("aa_caes.tech", "tech"), ("libes.tech", "tech")])
+    def test_bundled_files_are_their_writers_output(self, path, kind):
+        """Each bundled input file is, byte for byte, what its writer
+        makes of the value it parses to."""
+        from importlib import resources
+        text = resources.files("storageplan").joinpath(
+            f"data/{path}").read_text()
+        parse = getattr(datafiles, f"parse_{kind}")
+        write = getattr(datafiles, f"write_{kind}")
+        assert write(parse(text)) == text

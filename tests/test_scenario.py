@@ -52,8 +52,11 @@ class TestLoadProfiles:
 
     def test_rejects_nan_and_negative(self):
         head = "hour b1:demand\n"
-        with pytest.raises(ParseError, match="non-finite"):
-            load_profiles(head + "0 nan\n")
+        with pytest.raises(ParseError, match="p.txt:2: NaN value"):
+            load_profiles(head + "0 nan\n", "p.txt")
+        with pytest.raises(ParseError,
+                           match="p.txt:2: infinite value: 'inf'"):
+            load_profiles(head + "0 inf\n", "p.txt")
         with pytest.raises(ParseError, match="negative"):
             load_profiles(head + "0 -3\n")
         with pytest.raises(ParseError, match="not a number"):
@@ -104,6 +107,17 @@ class TestClusterDays:
             # reserve cost and requirements are TypicalDay's defaults
             assert (day.c_rs, day.phi_d, day.phi_r) == (
                 TypicalDay.c_rs, TypicalDay.phi_d, TypicalDay.phi_r)
+
+    def test_bus_with_demand_and_no_renewable(self):
+        rows = [f"{h} {10 + h % 24} {20 + h % 5} {h % 7}"
+                for h in range(3 * 24)]
+        ps = load_profiles("hour b1:demand b2:demand b2:renewable\n"
+                           + "\n".join(rows) + "\n")
+        for day in cluster_days(ps, 2):
+            idx = int(day.day_id[1:]) - 1
+            assert day.demand["b1"] == pytest.approx(ps.demand["b1"][idx])
+            assert "b1" not in day.renewable
+            assert "b1" not in day.spill_max
 
     def test_k_equals_n(self):
         ps = load_profiles(make_text(4, [0, 1, 2, 0]))
